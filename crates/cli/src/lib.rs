@@ -126,7 +126,7 @@ document as one coalesced frame and reads the responses back in request
 order (the server admits up to its --max-pipeline per connection); client
 hold N parks N concurrent idle connections on the server's reactor and
 prints a held/dropped accounting line on drain; client metrics dumps the
-server's telemetry registry in the `# dsq-metrics v1` exposition format;
+server's telemetry in the `# dsq-metrics v1` exposition format;
 loadgen drives open-loop (Poisson-arrival) traffic per request class —
 latency is measured from each request's *scheduled* send time, so a slow
 server cannot hide tail latency by slowing the generator down — and prints

@@ -2,7 +2,7 @@
 //! experiments" substrate (DESIGN.md, system inventory #10).
 //!
 //! Where `dsq-simulator` computes in virtual time, this crate actually
-//! *runs* the pipeline: one OS thread per service, bounded crossbeam
+//! *runs* the pipeline: one OS thread per service, bounded `std` mpsc
 //! channels as the network links, calibrated busy-work standing in for
 //! service computation, and sender-side delays standing in for block
 //! transmission (the paper's single-threaded process-and-send model).
@@ -37,9 +37,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use dsq_core::{Plan, QueryInstance};
-use parking_lot::Mutex;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
 /// Configuration of a threaded pipeline run. Passive struct; fields are
@@ -135,16 +134,16 @@ pub fn run_pipeline(
 
     let order = plan.indices();
     let n = order.len();
-    let stats: Mutex<Vec<Option<StageWallStats>>> = Mutex::new(vec![None; n]);
-    let delivered = Mutex::new(Vec::<u64>::new());
 
+    let mut stages: Vec<StageWallStats> = Vec::new();
+    let mut tuples_delivered = 0;
     let started = Instant::now();
     std::thread::scope(|scope| {
         // Channel chain: source → stage 0 → … → stage n-1 → sink.
-        let mut senders: Vec<Sender<Message>> = Vec::with_capacity(n + 1);
+        let mut senders: Vec<SyncSender<Message>> = Vec::with_capacity(n + 1);
         let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(n + 1);
         for _ in 0..=n {
-            let (tx, rx) = bounded::<Message>(config.channel_blocks);
+            let (tx, rx) = sync_channel::<Message>(config.channel_blocks);
             senders.push(tx);
             receivers.push(rx);
         }
@@ -153,11 +152,11 @@ pub fn run_pipeline(
         let mut rx_iter = receivers.into_iter();
         let first_rx = rx_iter.next().expect("n+1 channels");
         let mut upstream = first_rx;
+        let mut stage_threads = Vec::with_capacity(n);
         for (position, &service) in order.iter().enumerate() {
             let rx = upstream;
             upstream = rx_iter.next().expect("n+1 channels");
             let tx = senders[position + 1].clone();
-            let stats = &stats;
             let cfg = config.clone();
             let cost = instance.cost(service);
             let sigma = instance.selectivity(service);
@@ -166,22 +165,24 @@ pub fn run_pipeline(
             } else {
                 instance.sink_cost(service)
             };
-            scope.spawn(move || {
-                let s = stage_loop(position, service, cost, sigma, transfer, rx, tx, &cfg);
-                stats.lock()[position] = Some(s);
-            });
+            stage_threads.push(
+                scope.spawn(move || {
+                    stage_loop(position, service, cost, sigma, transfer, rx, tx, &cfg)
+                }),
+            );
         }
 
         // Sink thread.
         let sink_rx = upstream;
-        let delivered = &delivered;
-        scope.spawn(move || {
+        let sink = scope.spawn(move || {
+            let mut delivered = 0u64;
             while let Ok(msg) = sink_rx.recv() {
                 match msg {
-                    Message::Data(block) => delivered.lock().extend(block),
+                    Message::Data(block) => delivered += block.len() as u64,
                     Message::Eos => break,
                 }
             }
+            delivered
         });
 
         // Source: feed all tuples, then EOS.
@@ -200,15 +201,18 @@ pub fn run_pipeline(
             source_tx.send(Message::Data(block)).expect("stage 0 outlives the source");
         }
         source_tx.send(Message::Eos).expect("stage 0 outlives the source");
+
+        stages = stage_threads
+            .into_iter()
+            .map(|stage| stage.join().expect("every stage thread reports"))
+            .collect();
+        tuples_delivered = sink.join().expect("the sink thread reports");
     });
     let makespan = started.elapsed();
 
-    let delivered = delivered.into_inner();
-    let stages: Vec<StageWallStats> =
-        stats.into_inner().into_iter().map(|s| s.expect("every stage thread reports")).collect();
     RuntimeReport {
         tuples_in: config.tuples,
-        tuples_delivered: delivered.len() as u64,
+        tuples_delivered,
         makespan,
         throughput: config.tuples as f64 / makespan.as_secs_f64().max(1e-12),
         stages,
@@ -226,7 +230,7 @@ fn stage_loop(
     sigma: f64,
     transfer: f64,
     rx: Receiver<Message>,
-    tx: Sender<Message>,
+    tx: SyncSender<Message>,
     config: &RuntimeConfig,
 ) -> StageWallStats {
     let mut tuples_in = 0u64;

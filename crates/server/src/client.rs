@@ -256,20 +256,7 @@ impl Client {
                     std::thread::sleep(policy.backoff(retry_after_ms, busy_replies));
                     busy_replies += 1;
                 }
-                other => {
-                    // Published only off the happy path: a first-attempt
-                    // success never touches the global registry.
-                    if busy_replies > 0 {
-                        let registry = dsq_telemetry::global();
-                        registry.counter("client.retry.busy-replies").add(u64::from(busy_replies));
-                        if matches!(other, Response::Busy { .. }) {
-                            registry.counter("client.retry.exhausted").inc();
-                        } else {
-                            registry.counter("client.retry.recovered").inc();
-                        }
-                    }
-                    return Ok((other, busy_replies));
-                }
+                other => return Ok((other, busy_replies)),
             }
         }
     }

@@ -39,7 +39,6 @@ use crate::protocol::{
     ExportRequest, Response, IMPORT_PARTITION_VERB, METRICS_END, METRICS_VERB, REQUEST_END,
 };
 use crate::server::{load_aware_retry_ms, Completion, Inner, Job, MAX_REQUEST_BYTES};
-use crossbeam::channel::{self, TrySendError};
 use dsq_core::{parse_instance, PlanSnapshot};
 use dsq_service::{FleetConfig, HashRing};
 use dsq_telemetry::{log::Level, log_event, Stopwatch};
@@ -49,6 +48,7 @@ use std::io::{self, Read, Write};
 use std::os::fd::RawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
 /// The listener's registration token.
@@ -205,7 +205,7 @@ impl Conn {
 
     /// Parses and processes every complete line buffered so far,
     /// stopping at the pipelining cap (admission backpressure).
-    fn parse(&mut self, inner: &Inner, job_tx: &channel::Sender<Job>) {
+    fn parse(&mut self, inner: &Inner, job_tx: &SyncSender<Job>) {
         while !self.poisoned && !self.dead && !self.close_after_flush {
             if self.jobs_in_flight >= inner.max_pipeline {
                 break;
@@ -225,7 +225,7 @@ impl Conn {
         }
     }
 
-    fn process_line(&mut self, line: &[u8], inner: &Inner, job_tx: &channel::Sender<Job>) {
+    fn process_line(&mut self, line: &[u8], inner: &Inner, job_tx: &SyncSender<Job>) {
         match std::mem::replace(&mut self.mode, ReadMode::Line) {
             ReadMode::Line => {
                 let text = String::from_utf8_lossy(line);
@@ -303,7 +303,7 @@ impl Conn {
 
     /// Parses a complete instance document and admits it to the worker
     /// queue (or answers `busy`/`error` inline).
-    fn admit(&mut self, document: &[u8], inner: &Inner, job_tx: &channel::Sender<Job>) {
+    fn admit(&mut self, document: &[u8], inner: &Inner, job_tx: &SyncSender<Job>) {
         let protocol_error = |conn: &mut Conn, message: String| {
             inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
             conn.push_ready(&Response::Error { message });
@@ -377,8 +377,8 @@ impl Conn {
         self.push_slot(Some(payload), Some(snapshot));
     }
 
-    /// Serves one `metrics` scrape: header + the registry's exposition
-    /// document (serving counters folded in) + the `end-metrics`
+    /// Serves one `metrics` scrape: header + the exposition document
+    /// (stage histograms and serving counters) + the `end-metrics`
     /// trailer, as one response slot.
     fn serve_metrics(&mut self, inner: &Inner) {
         let text = inner.metrics.exposition(&inner.stats());
@@ -589,7 +589,7 @@ fn accept_all(
 /// The reactor: owns the listener, the poller, and every connection
 /// until shutdown. Exits once draining is complete (every admitted
 /// request answered and flushed, every connection closed).
-pub(crate) fn run(listener: Listener, poll: Poll, inner: &Inner, job_tx: &channel::Sender<Job>) {
+pub(crate) fn run(listener: Listener, poll: Poll, inner: &Inner, job_tx: &SyncSender<Job>) {
     let mut events = Events::with_capacity(1024);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;

@@ -304,7 +304,17 @@ impl LoadgenConfig {
                 .classes
                 .iter()
                 .enumerate()
-                .map(|(k, &class)| scope.spawn(move || (k, self.run_class(addr, class, k as u64))))
+                .map(|(k, &class)| {
+                    scope.spawn(move || {
+                        let run = self.run_class(addr, class, k as u64);
+                        (
+                            k,
+                            run.map(|(latency, tally)| {
+                                ClassReport::from_histogram(class, &latency, tally)
+                            }),
+                        )
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("loadgen class thread panicked")).collect()
         });
@@ -314,13 +324,14 @@ impl LoadgenConfig {
         Ok(LoadgenReport { classes, elapsed: started.elapsed(), rate: self.rate })
     }
 
-    /// Drives one class to completion on its own connection.
+    /// Drives one class to completion on its own connection, returning
+    /// its latency histogram and response breakdown.
     fn run_class(
         &self,
         addr: &ListenAddr,
         class: RequestClass,
         class_index: u64,
-    ) -> io::Result<ClassReport> {
+    ) -> io::Result<(Histogram, Tally)> {
         let seed = self.seed ^ class_index.rotate_left(29);
         let schedule = poisson_schedule(self.requests, self.rate, seed);
         let stream = self.instance_stream(class, seed);
@@ -341,29 +352,27 @@ impl LoadgenConfig {
             }
             RequestClass::Pipelined => {
                 // Bursts of `pipeline_depth` coalesced into one frame;
-                // the burst goes out at its *first* member's scheduled
-                // arrival and every member's latency is measured from
-                // its own slot in the schedule, so queueing inside the
-                // burst is charged like any other queueing.
+                // a burst cannot leave before its *last* member has
+                // arrived, so it goes out at that member's scheduled
+                // slot and every member is timed from that send.
                 let instances: Vec<_> = stream.collect();
                 let offsets: Vec<_> = schedule.collect();
                 for (burst, burst_offsets) in
                     instances.chunks(self.pipeline_depth).zip(offsets.chunks(self.pipeline_depth))
                 {
-                    let scheduled = epoch + burst_offsets[0];
+                    let scheduled = epoch + burst_offsets[burst_offsets.len() - 1];
                     sleep_until(scheduled);
                     let responses = client.optimize_pipelined(burst)?;
-                    let done = Instant::now();
-                    for (j, response) in responses.iter().enumerate() {
+                    let elapsed = scheduled.elapsed();
+                    for response in &responses {
                         tally.sent += 1;
                         tally.observe(response);
-                        let from = epoch + burst_offsets[j.min(burst_offsets.len() - 1)];
-                        latency.record_duration(done.saturating_duration_since(from));
+                        latency.record_duration(elapsed);
                     }
                 }
             }
         }
-        Ok(ClassReport::from_histogram(class, &latency, tally))
+        Ok((latency, tally))
     }
 
     /// The instance stream backing `class`.
@@ -518,6 +527,46 @@ mod tests {
             assert!(got.p50_ns > 0, "{}: latencies were recorded", got.class);
             assert!(got.p50_ns <= got.p99_ns && got.p99_ns <= got.p999_ns);
         }
+        server.shutdown();
+    }
+
+    /// Regression: a pipelined burst used to go out at its first
+    /// member's slot while later members were timed from their own
+    /// (later) slots, so their latencies clamped to zero and the class
+    /// reported `p50 0ns`. Every pipelined latency now covers at least
+    /// one real round trip.
+    #[test]
+    fn pipelined_latencies_cover_a_round_trip() {
+        let server =
+            Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &ServerConfig::default())
+                .expect("server starts");
+        let mut client = Client::connect(server.listen_addr()).expect("connect");
+        let min_ping = (0..50)
+            .map(|_| {
+                let sent = Instant::now();
+                assert_eq!(client.ping().expect("ping"), Response::Pong);
+                sent.elapsed()
+            })
+            .min()
+            .expect("50 pings");
+        let config = LoadgenConfig {
+            rate: 2_000.0,
+            requests: 64,
+            n: 5,
+            seed: 3,
+            classes: vec![RequestClass::Pipelined],
+            pipeline_depth: 8,
+        };
+        let (latency, tally) =
+            config.run_class(server.listen_addr(), RequestClass::Pipelined, 0).expect("run");
+        assert_eq!(tally.sent, 64);
+        assert_eq!(latency.count(), 64);
+        assert!(latency.min() > 0, "a pipelined latency read 0ns");
+        let p50 = latency.quantile(0.50);
+        assert!(
+            u128::from(p50) >= min_ping.as_nanos(),
+            "pipelined p50 {p50}ns is below the fastest ping {min_ping:?}"
+        );
         server.shutdown();
     }
 }

@@ -2,11 +2,9 @@
 //! reactor path and the scrape-time exposition behind the `metrics`
 //! protocol verb.
 //!
-//! Each [`Server`](crate::Server) owns its **own**
-//! [`MetricsRegistry`] — co-located daemons (and every test that runs
-//! several in-process servers) must never mix latency streams. Stage
-//! handles are captured once at startup, so the hot path records
-//! through pre-resolved `Arc`s and never touches the registry lock.
+//! Each [`Server`](crate::Server) owns its **own** histograms —
+//! co-located daemons (and every test that runs several in-process
+//! servers) must never mix latency streams.
 //!
 //! The request path is split into four measured stages; their means sum
 //! to the client-observed round trip (minus wire time), which the
@@ -18,63 +16,51 @@
 //! ```
 
 use crate::server::ServerStats;
-use dsq_telemetry::{Histogram, MetricsRegistry};
-use std::sync::Arc;
+use dsq_telemetry::{render_exposition, Histogram};
 
-/// Histogram handles for the four request stages plus the two shape
-/// distributions (pipeline depth, write coalescing), backed by the
-/// server's private registry.
-#[derive(Debug)]
+/// The four request-stage histograms plus the two shape distributions
+/// (pipeline depth, write coalescing).
+#[derive(Debug, Default)]
 pub(crate) struct ServerMetrics {
-    pub(crate) registry: MetricsRegistry,
     /// `parse_instance` on the reactor thread, per admitted document.
-    pub(crate) parse_ns: Arc<Histogram>,
+    pub(crate) parse_ns: Histogram,
     /// Admission (`try_send`) to worker dequeue.
-    pub(crate) queue_wait_ns: Arc<Histogram>,
+    pub(crate) queue_wait_ns: Histogram,
     /// The planner call inside the worker (cache lookup or search).
-    pub(crate) plan_ns: Arc<Histogram>,
+    pub(crate) plan_ns: Histogram,
     /// Response ready (slot filled) to its bytes fully on the socket.
-    pub(crate) flush_ns: Arc<Histogram>,
+    pub(crate) flush_ns: Histogram,
     /// Pipeline depth observed at each admission (slots pending).
-    pub(crate) pipeline_depth: Arc<Histogram>,
+    pub(crate) pipeline_depth: Histogram,
     /// Responses promoted per write-buffer fill — the coalescing factor.
-    pub(crate) coalesced: Arc<Histogram>,
+    pub(crate) coalesced: Histogram,
 }
 
 impl ServerMetrics {
-    pub(crate) fn new() -> ServerMetrics {
-        let registry = MetricsRegistry::new();
-        ServerMetrics {
-            parse_ns: registry.histogram("server.stage.parse_ns"),
-            queue_wait_ns: registry.histogram("server.stage.queue_wait_ns"),
-            plan_ns: registry.histogram("server.stage.plan_ns"),
-            flush_ns: registry.histogram("server.stage.flush_ns"),
-            pipeline_depth: registry.histogram("server.pipeline.depth"),
-            coalesced: registry.histogram("server.flush.coalesced"),
-            registry,
-        }
-    }
-
-    /// Renders the `dsq-metrics v1` exposition for a scrape, folding
-    /// the serving counters (which live in [`ServerStats`], not the
-    /// registry) in at scrape time so one document carries everything.
+    /// Renders the `dsq-metrics v1` exposition for a scrape: the
+    /// histograms plus the serving counters, which live in
+    /// [`ServerStats`] and are named `server.<group>.<token>` after its
+    /// token table.
     pub(crate) fn exposition(&self, stats: &ServerStats) -> String {
-        self.registry.gauge("server.outstanding").set(stats.outstanding as i64);
-        let table = stats.token_table();
-        let extra: Vec<(String, u64)> = table
+        let names: Vec<(String, u64)> = stats
+            .token_table()
             .iter()
-            .map(|(group, token, value)| (exposition_name(group, token), *value))
+            .map(|(group, token, value)| (format!("server.{group}.{token}"), *value))
             .collect();
-        let extra_refs: Vec<(&str, u64)> =
-            extra.iter().map(|(name, value)| (name.as_str(), *value)).collect();
-        self.registry.render_with(&extra_refs)
+        let counters: Vec<(&str, u64)> =
+            names.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+        render_exposition(
+            &[
+                ("server.stage.parse_ns", &self.parse_ns),
+                ("server.stage.queue_wait_ns", &self.queue_wait_ns),
+                ("server.stage.plan_ns", &self.plan_ns),
+                ("server.stage.flush_ns", &self.flush_ns),
+                ("server.pipeline.depth", &self.pipeline_depth),
+                ("server.flush.coalesced", &self.coalesced),
+            ],
+            &counters,
+        )
     }
-}
-
-/// `(group, token)` from the stats token table → a registry-legal
-/// metric name: `server.<group>.<token>`.
-fn exposition_name(group: &str, token: &str) -> String {
-    format!("server.{group}.{token}")
 }
 
 #[cfg(test)]
@@ -84,7 +70,7 @@ mod tests {
 
     #[test]
     fn exposition_carries_stages_and_folded_counters() {
-        let metrics = ServerMetrics::new();
+        let metrics = ServerMetrics::default();
         metrics.parse_ns.record(1_000);
         metrics.queue_wait_ns.record(2_000);
         let stats = ServerStats { connections: 3, admitted: 2, ..ServerStats::default() };
@@ -93,14 +79,15 @@ mod tests {
         assert!(text.contains("histogram server.stage.parse_ns count 1 "), "{text}");
         assert!(text.contains("counter server.serve.connections 3\n"), "{text}");
         assert!(text.contains("counter server.admission.admitted 2\n"), "{text}");
-        assert!(text.contains("gauge server.outstanding 0\n"), "{text}");
+        assert!(text.contains("counter server.reactor.outstanding 0\n"), "{text}");
+        assert!(!text.contains("gauge "), "{text}");
         // Byte-stable: a second scrape of unchanged state is identical.
         assert_eq!(text, metrics.exposition(&stats));
     }
 
     #[test]
     fn tiered_counters_appear_only_in_tiered_mode() {
-        let metrics = ServerMetrics::new();
+        let metrics = ServerMetrics::default();
         let classic = metrics.exposition(&ServerStats::default());
         assert!(!classic.contains("server.tiered."), "{classic}");
         let tiered = ServerStats {

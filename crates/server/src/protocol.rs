@@ -29,14 +29,14 @@
 //! TIER      = "exact" | "heur"
 //! ```
 //!
-//! The `metrics` verb scrapes the server's telemetry registry. The
+//! The `metrics` verb scrapes the server's telemetry. The
 //! `ok metrics N` header is followed by exactly `N` lines of
 //! `dsq-metrics v1` exposition text (the `# dsq-metrics v1` header line
 //! included in the count) and then the literal trailer `end-metrics`.
 //! The exposition itself is byte-stable — lines sorted by metric name —
 //! so two scrapes of the same state are identical bytes; see
 //! `dsq_telemetry::registry` for the line grammar
-//! (`counter`/`gauge`/`histogram` records).
+//! (`counter`/`histogram` records).
 //!
 //! The two partition verbs carry the warm-handoff path of a fleet
 //! resize. `export-partition` asks the server to **remove and return**
@@ -80,7 +80,7 @@ pub const REQUEST_END: &str = "end";
 /// trailer).
 pub const IMPORT_PARTITION_VERB: &str = "import-partition";
 
-/// The `metrics` request verb: scrape the server's telemetry registry.
+/// The `metrics` request verb: scrape the server's telemetry.
 pub const METRICS_VERB: &str = "metrics";
 
 /// Trailer closing the exposition document after an `ok metrics N`

@@ -7,7 +7,6 @@ use crate::lock::SnapshotLock;
 use crate::metrics::ServerMetrics;
 use crate::net::{FaultProfile, ListenAddr, Listener};
 use crate::protocol::StatsLine;
-use crossbeam::channel;
 use dsq_core::{BnbConfig, QueryInstance};
 use dsq_service::{
     CacheConfig, CacheStats, CachedPlanner, PlanCache, PlanError, Planner, ServedPlan,
@@ -20,6 +19,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -408,7 +408,7 @@ pub struct Server {
     _snapshot_lock: Option<SnapshotLock>,
     /// Master sender keeping the admission queue open; dropped during
     /// shutdown so the workers drain and exit.
-    job_tx: Option<channel::Sender<Job>>,
+    job_tx: Option<SyncSender<Job>>,
     reactor_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     snapshot_handle: Option<JoinHandle<()>>,
@@ -462,7 +462,7 @@ impl Server {
             max_pipeline: config.max_pipeline,
             max_import_bytes: config.max_import_bytes,
             debug_panic_verb: config.debug_panic_verb.clone(),
-            metrics: ServerMetrics::new(),
+            metrics: ServerMetrics::default(),
             outstanding: AtomicUsize::new(0),
             poll_interval: config.poll_interval,
             chaos: config.chaos,
@@ -500,8 +500,8 @@ impl Server {
             }
         }
 
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity);
-        // The vendored crossbeam receiver is single-consumer; the mutex
+        let (job_tx, job_rx) = sync_channel::<Job>(config.queue_capacity);
+        // The mpsc receiver is single-consumer; the mutex
         // turns it into the shared queue the pool drains (held only for
         // the pop, never during an optimization).
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -633,7 +633,7 @@ impl ShutdownHandle {
     }
 }
 
-fn worker_loop(inner: &Inner, job_rx: &Mutex<channel::Receiver<Job>>) {
+fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
     // Every worker fronts the shared cache through the same Planner
     // seam batch serving and the CLI use; the daemon adds admission and
     // transport around it, not its own serve logic.

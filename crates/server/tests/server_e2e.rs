@@ -136,11 +136,62 @@ fn metrics_verb_streams_stage_histograms_and_counters() {
     assert!(text.contains("counter server.serve.requests 2\n"), "{text}");
     assert!(text.contains("counter server.serve.hits 1\n"), "{text}");
     assert!(text.contains("counter server.cache.insertions "), "{text}");
-    assert!(text.contains("gauge server.outstanding 0\n"), "{text}");
+    assert!(text.contains("counter server.reactor.outstanding 0\n"), "{text}");
     // The stage stopwatches measure real time: each histogram's sum is
     // positive, and the connection stays usable after the stream.
     assert!(text.lines().all(|l| !l.is_empty()), "no blank exposition lines:\n{text}");
     assert_eq!(client.ping().expect("still usable"), Response::Pong);
+    server.shutdown();
+}
+
+/// The exposition's metric names, in order, are pinned: a renderer
+/// change cannot silently drop a name a scraper reads (the benchmark
+/// reads the `serve`, `cache.evictions`, `admission.busy-rejections`,
+/// stage, pipeline-depth and coalescing names).
+#[test]
+fn metrics_exposition_names_are_pinned() {
+    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let mut client = Client::connect(server.listen_addr()).expect("connect");
+    let instance = generate(Family::Correlated, 6, 9);
+    client.optimize(&instance).expect("cold");
+    client.optimize(&instance).expect("hit");
+    let text = client.metrics().expect("metrics");
+    let names: Vec<&str> =
+        text.lines().skip(1).map(|line| line.split(' ').nth(1).expect("a name")).collect();
+    assert_eq!(
+        names,
+        [
+            "server.admission.admitted",
+            "server.admission.busy-rejections",
+            "server.admission.protocol-errors",
+            "server.cache.entries",
+            "server.cache.evictions",
+            "server.cache.heuristic-entries",
+            "server.cache.insertions",
+            "server.flush.coalesced",
+            "server.pipeline.depth",
+            "server.reactor.connection-panics",
+            "server.reactor.export-rollback-errors",
+            "server.reactor.export-rollbacks",
+            "server.reactor.outstanding",
+            "server.reactor.pipeline-peak",
+            "server.serve.cold",
+            "server.serve.connections",
+            "server.serve.hit-rate-bp",
+            "server.serve.hits",
+            "server.serve.probe2-hits",
+            "server.serve.requests",
+            "server.serve.warm-starts",
+            "server.snapshots.errors",
+            "server.snapshots.restored",
+            "server.snapshots.written",
+            "server.stage.flush_ns",
+            "server.stage.parse_ns",
+            "server.stage.plan_ns",
+            "server.stage.queue_wait_ns",
+        ],
+        "{text}"
+    );
     server.shutdown();
 }
 

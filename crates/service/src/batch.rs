@@ -39,15 +39,16 @@ impl Default for BatchOptions {
 /// exact-instance validation, i.e. it is within the cache's tolerance,
 /// not necessarily the same bits across runs.
 ///
-/// The queue is a bounded crossbeam channel pre-filled with the indexed
-/// requests; workers drain it until empty, so an expensive request never
-/// blocks the others (no static partitioning).
+/// The queue is a shared atomic index into `requests`; workers claim the
+/// next unclaimed request until none is left, so an expensive request
+/// never blocks the others (no static partitioning).
 ///
 /// # Examples
 ///
 /// ```
 /// use dsq_core::{CommMatrix, QueryInstance, Service};
 /// use dsq_service::{optimize_batch, BatchOptions, CacheConfig, PlanCache};
+/// use std::num::NonZeroUsize;
 ///
 /// let cache = PlanCache::new(CacheConfig::default());
 /// let requests: Vec<QueryInstance> = (0..6)
@@ -59,9 +60,12 @@ impl Default for BatchOptions {
 ///         .unwrap()
 ///     })
 ///     .collect();
-/// let results = optimize_batch(&cache, &requests, &BatchOptions::default());
+/// // One worker serves the requests in order, so exactly the first
+/// // occurrence of each of the two shapes misses.
+/// let options = BatchOptions { workers: NonZeroUsize::new(1).unwrap(), ..Default::default() };
+/// let results = optimize_batch(&cache, &requests, &options);
 /// assert_eq!(results.len(), 6);
-/// assert!(cache.stats().hits >= 4, "repeated shapes hit the cache");
+/// assert_eq!(cache.stats().hits, 4, "repeated shapes hit the cache");
 /// ```
 pub fn optimize_batch(
     cache: &PlanCache,

@@ -18,11 +18,10 @@
 //! deterministic trip/readmit schedules; under steady traffic the two
 //! are proportional anyway.
 
-use crate::telemetry::handles;
+use crate::lock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Tuning knobs for a [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,14 +115,13 @@ impl CircuitBreaker {
     /// of its cooldown (transitioning to half-open when it elapses), a
     /// half-open circuit admits the caller as the probe.
     pub fn admit(&self) -> bool {
-        let mut circuit = self.circuit.lock();
+        let mut circuit = lock(&self.circuit);
         match &mut *circuit {
             Circuit::Closed { .. } => true,
             Circuit::Open { remaining_cooldown } => {
                 if *remaining_cooldown > 1 {
                     *remaining_cooldown -= 1;
                     self.rejected.fetch_add(1, Ordering::Relaxed);
-                    handles().breaker_rejections.inc();
                     false
                 } else {
                     // Cooldown elapsed: this caller is the probe.
@@ -135,7 +133,6 @@ impl CircuitBreaker {
             Circuit::HalfOpen => {
                 // One probe outstanding already; everyone else waits.
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                handles().breaker_rejections.inc();
                 false
             }
         }
@@ -149,7 +146,7 @@ impl CircuitBreaker {
         if self.config.failure_threshold == 0 {
             return;
         }
-        let mut circuit = self.circuit.lock();
+        let mut circuit = lock(&self.circuit);
         match (&mut *circuit, success) {
             (Circuit::Closed { consecutive_failures }, true) => *consecutive_failures = 0,
             (Circuit::Closed { consecutive_failures }, false) => {
@@ -158,19 +155,16 @@ impl CircuitBreaker {
                     *circuit =
                         Circuit::Open { remaining_cooldown: self.config.cooldown_requests.max(1) };
                     self.trips.fetch_add(1, Ordering::Relaxed);
-                    handles().breaker_trips.inc();
                 }
             }
             (Circuit::HalfOpen, true) => {
                 *circuit = Circuit::Closed { consecutive_failures: 0 };
                 self.readmissions.fetch_add(1, Ordering::Relaxed);
-                handles().breaker_readmissions.inc();
             }
             (Circuit::HalfOpen, false) => {
                 *circuit =
                     Circuit::Open { remaining_cooldown: self.config.cooldown_requests.max(1) };
                 self.trips.fetch_add(1, Ordering::Relaxed);
-                handles().breaker_trips.inc();
             }
             // A late result for a request admitted before the circuit
             // opened: the open/cooldown schedule is already in motion.
@@ -180,7 +174,7 @@ impl CircuitBreaker {
 
     /// The current state (for stats lines and tests).
     pub fn state(&self) -> BreakerState {
-        match *self.circuit.lock() {
+        match *lock(&self.circuit) {
             Circuit::Closed { .. } => BreakerState::Closed,
             Circuit::Open { .. } => BreakerState::Open,
             Circuit::HalfOpen => BreakerState::HalfOpen,

@@ -1,13 +1,14 @@
 //! The sharded, concurrent plan cache.
 
+use crate::lock;
 use dsq_core::{
     bottleneck_cost, format_instance, optimize_with, parse_instance, BnbConfig, CanonicalKey, Plan,
     PlanSnapshot, Quantization, QueryInstance, SearchStats, SnapshotEntry, SnapshotError,
 };
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::sync::Mutex;
 
 /// Grid phase of the second probe: a parameter walking across a
 /// boundary of the primary grid sits at the center of this one.
@@ -376,7 +377,7 @@ impl PlanCache {
     /// fingerprint, if present and shaped like this instance. The third
     /// element is the entry's exact flag.
     fn probe(&self, key: &CanonicalKey) -> Option<(Plan, f64, bool)> {
-        let guard = self.shard(key.fingerprint()).lock();
+        let guard = lock(self.shard(key.fingerprint()));
         guard.map.get(&key.fingerprint()).and_then(|entry| {
             // A malformed transport (fingerprint collision with a
             // different-sized instance) degrades to a miss.
@@ -409,7 +410,7 @@ impl PlanCache {
             primary: true,
             exact,
         };
-        self.shard(primary.fingerprint()).lock().insert(primary.fingerprint(), pending, capacity);
+        lock(self.shard(primary.fingerprint())).insert(primary.fingerprint(), pending, capacity);
         if self.config.probes == 2 {
             let shifted = shifted.unwrap_or_else(|| {
                 CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE)
@@ -421,7 +422,7 @@ impl PlanCache {
                 primary: false,
                 exact,
             };
-            self.shard(shifted.fingerprint()).lock().insert(shifted.fingerprint(), alias, capacity);
+            lock(self.shard(shifted.fingerprint())).insert(shifted.fingerprint(), alias, capacity);
         }
     }
 
@@ -430,7 +431,7 @@ impl PlanCache {
     /// checks before spending an exact search on a job whose entry was
     /// meanwhile evicted or upgraded by a warm start.
     pub(crate) fn needs_refinement(&self, fingerprint: u64) -> bool {
-        self.shard(fingerprint).lock().map.get(&fingerprint).is_some_and(|entry| !entry.exact)
+        lock(self.shard(fingerprint)).map.get(&fingerprint).is_some_and(|entry| !entry.exact)
     }
 
     /// Upgrades the entry for `instance` in place to an exact-tier plan
@@ -441,7 +442,7 @@ impl PlanCache {
     pub(crate) fn upgrade(&self, instance: &QueryInstance, plan: &Plan, cost: f64) -> bool {
         let key = CanonicalKey::new(instance, &self.config.quantization);
         {
-            let guard = self.shard(key.fingerprint()).lock();
+            let guard = lock(self.shard(key.fingerprint()));
             match guard.map.get(&key.fingerprint()) {
                 Some(entry) if !entry.exact => {}
                 _ => return false,
@@ -521,7 +522,7 @@ impl PlanCache {
                     let answered =
                         shifted.as_ref().map_or(fingerprint, |alias| alias.fingerprint());
                     let capacity = self.config.capacity_per_shard;
-                    let mut guard = self.shard(answered).lock();
+                    let mut guard = lock(self.shard(answered));
                     guard.hits += 1;
                     guard.probe2_hits += u64::from(via_probe2);
                     guard.touch(answered, capacity);
@@ -548,7 +549,7 @@ impl PlanCache {
                 let warm_config = config.clone().with_initial_incumbent(plan);
                 let result = optimize_with(instance, &warm_config);
                 self.write_back(instance, &key, shifted, result.plan(), result.cost(), true);
-                self.shard(fingerprint).lock().warm_starts += 1;
+                lock(self.shard(fingerprint)).warm_starts += 1;
                 return ServedPlan {
                     plan: result.plan().clone(),
                     cost: result.cost(),
@@ -564,7 +565,7 @@ impl PlanCache {
         if let Some(heuristic) = heuristic {
             let (plan, cost) = heuristic(instance);
             self.write_back(instance, &key, shifted, &plan, cost, false);
-            self.shard(fingerprint).lock().misses += 1;
+            lock(self.shard(fingerprint)).misses += 1;
             return ServedPlan {
                 plan,
                 cost,
@@ -578,7 +579,7 @@ impl PlanCache {
 
         let result = optimize_with(instance, config);
         self.write_back(instance, &key, shifted, result.plan(), result.cost(), true);
-        self.shard(fingerprint).lock().misses += 1;
+        lock(self.shard(fingerprint)).misses += 1;
         ServedPlan {
             plan: result.plan().clone(),
             cost: result.cost(),
@@ -594,7 +595,7 @@ impl PlanCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let guard = shard.lock();
+            let guard = lock(shard);
             total.hits += guard.hits;
             total.probe2_hits += guard.probe2_hits;
             total.warm_starts += guard.warm_starts;
@@ -619,7 +620,7 @@ impl PlanCache {
     pub fn snapshot(&self) -> PlanSnapshot {
         let mut entries: Vec<SnapshotEntry> = Vec::new();
         for shard in &self.shards {
-            let guard = shard.lock();
+            let guard = lock(shard);
             for (&fingerprint, entry) in guard.map.iter().filter(|(_, e)| e.primary && e.exact) {
                 entries.push(SnapshotEntry {
                     fingerprint,
@@ -651,7 +652,7 @@ impl PlanCache {
     pub fn export_partition(&self, moved: impl Fn(u64) -> bool) -> PlanSnapshot {
         let mut entries: Vec<SnapshotEntry> = Vec::new();
         for shard in &self.shards {
-            let mut guard = shard.lock();
+            let mut guard = lock(shard);
             let moving: Vec<u64> = guard
                 .map
                 .iter()
@@ -678,7 +679,7 @@ impl PlanCache {
                 let shifted =
                     CanonicalKey::with_phase(&instance, &self.config.quantization, PROBE_PHASE);
                 let shard = self.shard(shifted.fingerprint());
-                let mut guard = shard.lock();
+                let mut guard = lock(shard);
                 if guard.map.get(&shifted.fingerprint()).is_some_and(|entry| !entry.primary) {
                     guard.map.remove(&shifted.fingerprint());
                 }
@@ -741,14 +742,14 @@ impl PlanCache {
                 primary: true,
                 exact: true,
             };
-            self.shard(key.fingerprint()).lock().insert(key.fingerprint(), pending, capacity);
+            lock(self.shard(key.fingerprint())).insert(key.fingerprint(), pending, capacity);
         }
         if self.config.probes == 2 && capacity > 0 {
             for (instance, key, plan, cost) in &verified {
                 // A snapshot larger than the cache evicts its oldest
                 // primaries above; an alias for an evicted primary would
                 // be an orphan, so derive aliases only for survivors.
-                if !self.shard(key.fingerprint()).lock().map.contains_key(&key.fingerprint()) {
+                if !lock(self.shard(key.fingerprint())).map.contains_key(&key.fingerprint()) {
                     continue;
                 }
                 let shifted =
@@ -760,7 +761,7 @@ impl PlanCache {
                     primary: false,
                     exact: true,
                 };
-                self.shard(shifted.fingerprint()).lock().insert(
+                lock(self.shard(shifted.fingerprint())).insert(
                     shifted.fingerprint(),
                     alias,
                     usize::MAX,
@@ -783,7 +784,7 @@ impl PlanCache {
     /// Drops every cached entry (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut guard = shard.lock();
+            let mut guard = lock(shard);
             guard.map.clear();
             guard.order.clear();
         }

@@ -9,8 +9,8 @@
 //!
 //! * [`PlanCache`] — N shards keyed by the
 //!   [`CanonicalKey`](dsq_core::CanonicalKey) fingerprint (quantized,
-//!   sort-normalized instances share a key), per-shard `parking_lot`
-//!   locks, LRU eviction, and hit / miss / warm-start / eviction
+//!   sort-normalized instances share a key), per-shard locks, LRU
+//!   eviction, and hit / miss / warm-start / eviction
 //!   statistics. A bucket-hit **validates** the cached plan's bottleneck
 //!   cost against the *exact* instance before returning it; a plan that
 //!   drifted out of tolerance instead **warm-starts** the
@@ -77,7 +77,6 @@ mod cache;
 pub mod membership;
 mod planner;
 pub mod ring;
-mod telemetry;
 mod tiered;
 
 pub use batch::{optimize_batch, BatchOptions};
@@ -92,3 +91,31 @@ pub use planner::{
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use tiered::{HeuristicPlanner, TieredConfig, TieredPlanner, TieredStats};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, ignoring poison: the daemon catches planner panics and
+/// keeps serving, so a poisoned shard would turn one caught panic into a
+/// shard that fails on every later request.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::Mutex;
+
+    #[test]
+    fn lock_survives_a_panicking_holder() {
+        let shard = Mutex::new(vec![1, 2]);
+        let caught = std::panic::catch_unwind(|| {
+            let mut guard = lock(&shard);
+            guard.push(3);
+            panic!("planner panicked while holding the shard");
+        });
+        assert!(caught.is_err() && shard.is_poisoned());
+        lock(&shard).push(4);
+        assert_eq!(*lock(&shard), [1, 2, 3, 4]);
+    }
+}

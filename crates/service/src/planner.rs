@@ -12,17 +12,16 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{PlanCache, PlanTier, ServeSource, ServedPlan};
+use crate::lock;
 use crate::ring::HashRing;
-use crate::telemetry::handles;
 use dsq_core::{
     optimize_parallel, optimize_with, BnbConfig, CanonicalKey, Quantization, QueryInstance,
 };
-use dsq_telemetry::Stopwatch;
-use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Error produced by a [`Planner`] that could not serve a request.
 ///
@@ -231,13 +230,11 @@ impl Planner for ColdPlanner {
     }
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let timer = Stopwatch::start();
         let result = if self.threads.get() > 1 {
             optimize_parallel(instance, &self.config, self.threads)
         } else {
             optimize_with(instance, &self.config)
         };
-        timer.observe(&handles().cold_plan_ns);
         self.served.fetch_add(1, Ordering::Relaxed);
         Ok(ServedPlan {
             plan: result.plan().clone(),
@@ -290,10 +287,7 @@ impl Planner for CachedPlanner<'_> {
     }
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let timer = Stopwatch::start();
-        let served = self.cache.serve(instance, &self.config);
-        timer.observe(&handles().cached_plan_ns);
-        Ok(served)
+        Ok(self.cache.serve(instance, &self.config))
     }
 
     fn stats(&self) -> PlannerStats {
@@ -474,7 +468,7 @@ impl<'a> FleetPlanner<'a> {
 
     /// A snapshot of the routing counters.
     pub fn fleet_stats(&self) -> FleetStats {
-        self.counters.lock().fleet.clone()
+        lock(&self.counters).fleet.clone()
     }
 
     /// Per-backend circuit-breaker counters, indexed like the
@@ -496,7 +490,6 @@ impl Planner for FleetPlanner<'_> {
     }
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let timer = Stopwatch::start();
         let fingerprint = CanonicalKey::new(instance, &self.quantization).fingerprint();
         let home = self.ring.route(fingerprint);
         let mut last_error: Option<PlanError> = None;
@@ -511,17 +504,11 @@ impl Planner for FleetPlanner<'_> {
             match self.backends[backend].plan(instance) {
                 Ok(served) => {
                     self.breakers[backend].record(true);
-                    {
-                        let mut counters = self.counters.lock();
-                        counters.planner.record(&served);
-                        counters.planner.failovers += u64::from(backend != home);
-                        counters.fleet.per_backend[backend] += 1;
-                        counters.fleet.failovers += u64::from(backend != home);
-                    }
-                    if backend != home {
-                        handles().fleet_failovers.inc();
-                    }
-                    timer.observe(&handles().fleet_plan_ns);
+                    let mut counters = lock(&self.counters);
+                    counters.planner.record(&served);
+                    counters.planner.failovers += u64::from(backend != home);
+                    counters.fleet.per_backend[backend] += 1;
+                    counters.fleet.failovers += u64::from(backend != home);
                     return Ok(served);
                 }
                 Err(error) => {
@@ -533,25 +520,20 @@ impl Planner for FleetPlanner<'_> {
         if let Some(fallback) = &self.fallback {
             match fallback.plan(instance) {
                 Ok(served) => {
-                    {
-                        let mut counters = self.counters.lock();
-                        counters.planner.record(&served);
-                        counters.planner.fallbacks += 1;
-                        counters.fleet.fallbacks += 1;
-                    }
-                    handles().fleet_fallbacks.inc();
-                    timer.observe(&handles().fleet_plan_ns);
+                    let mut counters = lock(&self.counters);
+                    counters.planner.record(&served);
+                    counters.planner.fallbacks += 1;
+                    counters.fleet.fallbacks += 1;
                     return Ok(served);
                 }
                 Err(error) => last_error = Some(error),
             }
         }
         {
-            let mut counters = self.counters.lock();
+            let mut counters = lock(&self.counters);
             counters.planner.errors += 1;
             counters.fleet.errors += 1;
         }
-        handles().fleet_errors.inc();
         // With every circuit open and no fallback, no backend was even
         // tried — still a typed error, never a panic.
         Err(last_error.unwrap_or_else(|| {
@@ -560,7 +542,7 @@ impl Planner for FleetPlanner<'_> {
     }
 
     fn stats(&self) -> PlannerStats {
-        self.counters.lock().planner
+        lock(&self.counters).planner
     }
 
     fn drain(&self) -> Result<(), PlanError> {
@@ -599,14 +581,15 @@ pub fn plan_batch<P: Planner + ?Sized>(
     // The work queue is just the next unclaimed request index; a worker
     // that pops one plans it without holding anything.
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<ServedPlan, PlanError>>>> =
-        (0..requests.len()).map(|_| Mutex::new(None)).collect();
+    let results: Vec<OnceLock<Result<ServedPlan, PlanError>>> =
+        (0..requests.len()).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(instance) = requests.get(index) else { break };
-                *results[index].lock() = Some(planner.plan(instance));
+                // Each index is claimed exactly once, so the slot is empty.
+                let _ = results[index].set(planner.plan(instance));
             });
         }
     });

@@ -42,7 +42,6 @@
 
 use crate::cache::{PlanCache, PlanTier, ServeSource, ServedPlan};
 use crate::planner::{PlanError, Planner, PlannerStats};
-use crate::telemetry::handles;
 use dsq_baselines::fast_greedy;
 use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Plan, Quantization, QueryInstance};
 use std::collections::{HashSet, VecDeque};
@@ -254,7 +253,6 @@ impl TieredPlanner {
     }
 
     fn enqueue(&self, instance: &QueryInstance, served: &ServedPlan) {
-        handles().tiered_heuristic_served.inc();
         let mut state = self.shared.state.lock().expect("refine state lock");
         state.stats.heuristic_served += 1;
         if state.shutdown || state.pending.contains(&served.fingerprint) {
@@ -365,7 +363,6 @@ fn refine_loop(shared: &RefineShared) {
         let mut state = shared.state.lock().expect("refine state lock");
         match refined {
             Some((gap, nodes)) => {
-                handles().tiered_refined.inc();
                 state.stats.refined += 1;
                 state.stats.gap_sum += gap;
                 state.stats.max_gap = state.stats.max_gap.max(gap);

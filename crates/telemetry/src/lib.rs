@@ -1,15 +1,17 @@
 //! Zero-dependency telemetry for the serving stack: mergeable
-//! log-linear [`Histogram`]s with a pinned relative-error bound,
-//! sharded [`Counter`]s and [`Gauge`]s, a [`MetricsRegistry`] with a
-//! byte-stable text exposition (`dsq-metrics v1`), monotonic-clock
-//! stage timers ([`Stopwatch`], [`Span`]), and a leveled, env-filtered
-//! [`log`] shim.
+//! log-linear [`Histogram`]s with a pinned relative-error bound, a
+//! byte-stable text exposition (`dsq-metrics v1`, see
+//! [`render_exposition`]), a monotonic-clock [`Stopwatch`] for stage
+//! timing, and a leveled, env-filtered [`log`] shim.
+//!
+//! Counters are not stored here: each lives in exactly one place (its
+//! owner's stats struct) and is passed to [`render_exposition`] by value
+//! at scrape time.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Hot paths never block.** Recording into a histogram or counter
-//!    is a few relaxed atomic RMWs; registry locks are touched only at
-//!    registration and scrape time (handles are `Arc`s captured once).
+//! 1. **Hot paths never block.** Recording into a histogram is a few
+//!    relaxed atomic RMWs; nothing is locked or looked up by name.
 //! 2. **Distributions are first-class.** Quantiles come with a
 //!    documented relative-error bound ([`Histogram::relative_error_bound`]),
 //!    and histograms merge losslessly so per-shard or per-class streams
@@ -26,5 +28,5 @@ pub mod registry;
 pub mod timer;
 
 pub use hist::{Histogram, DEFAULT_GRID_BITS};
-pub use registry::{global, Counter, Gauge, MetricsRegistry, EXPOSITION_HEADER};
-pub use timer::{Span, Stopwatch};
+pub use registry::{render_exposition, EXPOSITION_HEADER};
+pub use timer::Stopwatch;

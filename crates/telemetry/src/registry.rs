@@ -1,154 +1,39 @@
-//! Named metric handles and the text exposition format.
+//! The text exposition format.
 //!
-//! A [`MetricsRegistry`] is a name → metric map with get-or-create
-//! registration; handles are `Arc`s, so hot paths capture them once and
-//! never touch the registry lock again. [`MetricsRegistry::render`]
-//! produces the `dsq-metrics v1` exposition — a byte-stable text form
-//! suitable for diffing, parsing, and shipping over the wire:
+//! [`render_exposition`] turns a fixed set of named histograms and
+//! counters into the `dsq-metrics v1` exposition — a byte-stable text
+//! form suitable for diffing, parsing, and shipping over the wire:
 //!
 //! ```text
 //! # dsq-metrics v1
 //! counter <name> <value>
-//! gauge <name> <value>
 //! histogram <name> count <n> sum <s> min <lo> max <hi> p50 <a> p90 <b> p99 <c> p999 <d>
 //! ```
 //!
 //! Lines after the header are sorted by metric name (bytewise
 //! ascending, names are unique across kinds), so two renders of the
-//! same state are byte-identical regardless of registration order.
+//! same state are byte-identical regardless of argument order.
 
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Shards per [`Counter`]; enough to keep a handful of worker threads
-/// off each other's cache lines without bloating idle counters.
-const COUNTER_SHARDS: usize = 8;
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// A monotonically increasing counter, sharded across cache-line-padded
-/// cells so concurrent `add` calls from different threads do not
-/// contend. Reads sum the shards (relaxed; exact once writers pause).
-#[derive(Debug)]
-pub struct Counter {
-    shards: [PaddedCell; COUNTER_SHARDS],
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Counter {
-    /// A fresh zero counter.
-    pub fn new() -> Self {
-        Self { shards: Default::default() }
-    }
-
-    fn shard(&self) -> &AtomicU64 {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        thread_local! {
-            static SLOT: usize = usize::try_from(
-                NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS as u64,
-            )
-            .expect("shard index fits usize");
-        }
-        &self.shards[SLOT.with(|s| *s)].0
-    }
-
-    /// Adds `n` (wrapping; a u64 of increments outlives the process).
-    pub fn add(&self, n: u64) {
-        self.shard().fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current total across all shards.
-    pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).fold(0, u64::wrapping_add)
-    }
-}
-
-/// A signed instantaneous value (queue depths, in-flight requests).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A fresh zero gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Sets the value outright.
-    pub fn set(&self, value: i64) {
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises the value to `candidate` if larger (a high-water mark).
-    pub fn fetch_max(&self, candidate: i64) {
-        self.value.fetch_max(candidate, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
 
 /// The exposition header; the first line of every render.
 pub const EXPOSITION_HEADER: &str = "# dsq-metrics v1";
 
-/// A name → metric map with get-or-create registration and a
-/// byte-stable text exposition.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn get_or_insert<T>(
-        &self,
-        name: &str,
-        wrap: impl Fn(&Metric) -> Option<Arc<T>>,
-        make: impl FnOnce() -> Metric,
-    ) -> Arc<T> {
+/// Renders the exposition text: the header, then one line per metric
+/// sorted by name, each ending in a newline.
+///
+/// # Panics
+///
+/// Panics if a name is not lowercase `[a-z0-9._-]` (the line grammar
+/// splits on spaces) or appears twice.
+pub fn render_exposition(histograms: &[(&str, &Histogram)], counters: &[(&str, u64)]) -> String {
+    let mut lines: BTreeMap<&str, String> = BTreeMap::new();
+    let metrics = histograms
+        .iter()
+        .map(|&(name, h)| (name, histogram_line(name, h)))
+        .chain(counters.iter().map(|&(name, value)| (name, format!("counter {name} {value}"))));
+    for (name, line) in metrics {
         assert!(
             !name.is_empty()
                 && name
@@ -156,97 +41,15 @@ impl MetricsRegistry {
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"._-".contains(&b)),
             "metric names are lowercase [a-z0-9._-], got {name:?}"
         );
-        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-        let entry = metrics.entry(name.to_string()).or_insert_with(make);
-        wrap(entry)
-            .unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", entry.kind()))
+        assert!(lines.insert(name, line).is_none(), "metric {name:?} appears twice");
     }
-
-    /// The counter named `name`, registering it at zero on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is malformed or already names a different kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.get_or_insert(
-            name,
-            |m| match m {
-                Metric::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-            || Metric::Counter(Arc::new(Counter::new())),
-        )
-    }
-
-    /// The gauge named `name`, registering it at zero on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is malformed or already names a different kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            |m| match m {
-                Metric::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-            || Metric::Gauge(Arc::new(Gauge::new())),
-        )
-    }
-
-    /// The histogram named `name`, registering an empty one (default
-    /// precision) on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is malformed or already names a different kind.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.get_or_insert(
-            name,
-            |m| match m {
-                Metric::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-            || Metric::Histogram(Arc::new(Histogram::new())),
-        )
-    }
-
-    /// Renders the exposition text (header + one line per metric,
-    /// sorted by name, trailing newline).
-    pub fn render(&self) -> String {
-        self.render_with(&[])
-    }
-
-    /// Renders the exposition with extra scrape-time counters folded
-    /// into sorted order — for sources that keep their own tallies
-    /// (e.g. a server's admission counters) and only materialize them
-    /// at scrape time. Extra names shadow registered metrics.
-    pub fn render_with(&self, extra_counters: &[(&str, u64)]) -> String {
-        let mut lines: BTreeMap<String, String> = self
-            .metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(name, metric)| {
-                let line = match metric {
-                    Metric::Counter(c) => format!("counter {name} {}", c.get()),
-                    Metric::Gauge(g) => format!("gauge {name} {}", g.get()),
-                    Metric::Histogram(h) => histogram_line(name, h),
-                };
-                (name.clone(), line)
-            })
-            .collect();
-        for (name, value) in extra_counters {
-            lines.insert((*name).to_string(), format!("counter {name} {value}"));
-        }
-        let mut out = String::from(EXPOSITION_HEADER);
+    let mut out = String::from(EXPOSITION_HEADER);
+    out.push('\n');
+    for line in lines.values() {
+        out.push_str(line);
         out.push('\n');
-        for line in lines.values() {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
     }
+    out
 }
 
 fn histogram_line(name: &str, h: &Histogram) -> String {
@@ -263,86 +66,32 @@ fn histogram_line(name: &str, h: &Histogram) -> String {
     )
 }
 
-/// The process-wide registry: client-side paths (retry loops, fleet
-/// planners, load generators) publish here; servers hold their own
-/// per-instance [`MetricsRegistry`] so co-located daemons (and tests)
-/// never mix streams.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_across_threads() {
-        let c = Arc::new(Counter::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("counter thread");
-        }
-        assert_eq!(c.get(), 40_000);
-    }
-
-    #[test]
-    fn gauge_tracks_signed_values() {
-        let g = Gauge::new();
-        g.add(5);
-        g.add(-8);
-        assert_eq!(g.get(), -3);
-        g.set(2);
-        g.fetch_max(7);
-        g.fetch_max(1);
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
-    fn registry_handles_are_shared() {
-        let reg = MetricsRegistry::new();
-        reg.counter("requests.total").inc();
-        reg.counter("requests.total").add(2);
-        assert_eq!(reg.counter("requests.total").get(), 3);
-        reg.histogram("latency.ns").record(10);
-        assert_eq!(reg.histogram("latency.ns").count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
+    #[should_panic(expected = "appears twice")]
     fn kind_collisions_panic() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x.y");
-        reg.gauge("x.y");
+        render_exposition(&[("x.y", &Histogram::new())], &[("x.y", 1)]);
     }
 
     #[test]
     #[should_panic(expected = "lowercase")]
     fn malformed_names_panic() {
-        MetricsRegistry::new().counter("Requests Total");
+        render_exposition(&[], &[("Requests Total", 1)]);
     }
 
     #[test]
     fn render_is_sorted_and_byte_stable() {
-        let reg = MetricsRegistry::new();
-        reg.counter("zeta.count").add(9);
-        reg.gauge("alpha.depth").set(-2);
-        reg.histogram("mid.lat").record(100);
-        let a = reg.render();
-        let b = reg.render();
+        let mid = Histogram::new();
+        mid.record(100);
+        let a = render_exposition(&[("mid.lat", &mid)], &[("zeta.count", 9), ("alpha.n", 2)]);
+        let b = render_exposition(&[("mid.lat", &mid)], &[("alpha.n", 2), ("zeta.count", 9)]);
         assert_eq!(a, b);
         let lines: Vec<&str> = a.lines().collect();
         assert_eq!(lines[0], EXPOSITION_HEADER);
-        assert_eq!(lines[1], "gauge alpha.depth -2");
+        assert_eq!(lines[1], "counter alpha.n 2");
         assert!(lines[2].starts_with("histogram mid.lat count 1 sum 100 min 100 max 100 "));
         assert_eq!(lines[3], "counter zeta.count 9");
         assert_eq!(lines.len(), 4);
@@ -350,9 +99,7 @@ mod tests {
 
     #[test]
     fn extra_counters_fold_into_sorted_order() {
-        let reg = MetricsRegistry::new();
-        reg.counter("b.two").add(2);
-        let text = reg.render_with(&[("c.three", 3), ("a.one", 1)]);
+        let text = render_exposition(&[], &[("c.three", 3), ("a.one", 1), ("b.two", 2)]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,

@@ -36,36 +36,6 @@ impl Stopwatch {
     }
 }
 
-/// A scope guard that records its lifetime into a histogram on drop.
-///
-/// ```
-/// use dsq_telemetry::{Histogram, Span};
-/// let stage = Histogram::new();
-/// {
-///     let _timed = Span::enter(&stage);
-///     // ... the work being measured ...
-/// }
-/// assert_eq!(stage.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Span<'a> {
-    hist: &'a Histogram,
-    watch: Stopwatch,
-}
-
-impl<'a> Span<'a> {
-    /// Starts a span that records into `hist` when it drops.
-    pub fn enter(hist: &'a Histogram) -> Self {
-        Self { hist, watch: Stopwatch::start() }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.watch.observe(self.hist);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,16 +48,5 @@ mod tests {
         let nanos = w.observe(&h);
         assert!(nanos >= 1_000_000, "slept a millisecond, read {nanos}ns");
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn span_records_on_drop_even_through_panics() {
-        let h = Histogram::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = Span::enter(&h);
-            panic!("stage blew up");
-        }));
-        assert!(result.is_err());
-        assert_eq!(h.count(), 1, "unwinding must still record the stage");
     }
 }
