@@ -131,7 +131,7 @@ loadgen drives open-loop (Poisson-arrival) traffic per request class —
 latency is measured from each request's *scheduled* send time, so a slow
 server cannot hide tail latency by slowing the generator down — and prints
 per-class p50/p99/p999 with a hit/warm/cold/busy breakdown (--json emits
-the dsq-loadgen/v1 document bench_snapshot.sh folds into BENCH); --tiered
+the dsq-loadgen/v1 document); --tiered
 answers cache misses immediately with a greedy plan (`tier heur` on output)
 and refines them to exact in the background, upgrading the cache in place";
 

@@ -84,8 +84,8 @@ impl SearchStats {
 
     /// Node throughput of the search: `nodes_visited` per second of
     /// `elapsed` wall-clock time (`0.0` when no time was recorded). The
-    /// headline measure of the per-node bound-evaluation cost, reported by
-    /// the `bounds_eval` / `pruning_ablation` benches.
+    /// headline measure of the per-node bound-evaluation cost, printed in
+    /// the stats report.
     pub fn nodes_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {

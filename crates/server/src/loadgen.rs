@@ -27,8 +27,7 @@
 //! Latencies land in per-class [`dsq_telemetry::Histogram`]s; the
 //! [`LoadgenReport`] carries p50/p99/p999 plus the serve-source
 //! breakdown (hit / warm / cold / busy / error) and renders both a
-//! human summary and a `dsq-loadgen/v1` JSON document that
-//! `scripts/bench_snapshot.sh` folds into the perf trajectory.
+//! human summary and a machine-readable `dsq-loadgen/v1` JSON document.
 
 use crate::client::Client;
 use crate::net::ListenAddr;

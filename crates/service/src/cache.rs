@@ -82,8 +82,7 @@ impl ServeSource {
     }
 }
 
-/// Quality tier of a served plan (see the `TieredPlanner` in
-/// [`crate::tiered`]).
+/// Quality tier of a served plan (see [`TieredPlanner`](crate::TieredPlanner)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanTier {
     /// The plan is a proven bottleneck-optimal ordering (a completed

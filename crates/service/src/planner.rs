@@ -132,8 +132,9 @@ impl PlannerStats {
     }
 }
 
-/// One way of turning an instance into a plan. See the [module
-/// docs](self) for the seam this abstracts.
+/// One way of turning an instance into a plan: cold optimization, the
+/// plan cache, a remote daemon, or a whole fleet of them sit behind this
+/// one trait, so every entry point shares a single dispatch path.
 ///
 /// Implementations must be shareable across threads ([`plan_batch`]
 /// drives one planner from a worker pool) and must report failures as

@@ -204,8 +204,10 @@ struct RefineShared {
 }
 
 /// The two-tier anytime planner: heuristic answers on miss, bounded
-/// background exact refinement, in-place cache upgrades. See the
-/// [module docs](self) for the serving semantics.
+/// background exact refinement, in-place cache upgrades. A miss returns
+/// the greedy plan at once and queues its refinement; a hit on a
+/// still-heuristic entry re-queues it; a stale hit runs the exact
+/// search in line, warm-started from the cached plan.
 #[derive(Debug)]
 pub struct TieredPlanner {
     shared: Arc<RefineShared>,

@@ -12,8 +12,7 @@
 //! statistics fluctuate around slowly-changing baselines (a free random
 //! walk would wander without bound and eventually describe a different
 //! query, not a drifting one). It is the workload the `dsq-service` plan
-//! cache is designed for, and what experiment E13 and the
-//! `service_throughput` bench measure.
+//! cache is designed for, and what experiment E13 measures.
 //!
 //! Deterministic in the seed, like every generator in this crate.
 
@@ -147,8 +146,9 @@ struct BaseQuery {
     comm: CommMatrix,
 }
 
-/// Iterator over the requests of a drifting workload stream (see the
-/// [module docs](self)).
+/// Iterator over the requests of a drifting workload stream: base
+/// queries cycled round-robin, each with statistics that follow a
+/// mean-reverting random walk.
 ///
 /// # Examples
 ///
