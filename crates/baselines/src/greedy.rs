@@ -4,7 +4,7 @@
 //! variants build the plan left to right over every feasible starting
 //! service and keep the best chain.
 
-use dsq_core::{bottleneck_cost, BitSet, Plan, QueryInstance};
+use dsq_core::{BitSet, Plan, QueryInstance};
 
 /// The rule a greedy chain uses to pick the next service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,32 +82,12 @@ impl GreedyResult {
 /// # Ok::<(), dsq_core::ModelError>(())
 /// ```
 pub fn greedy(instance: &QueryInstance, kind: GreedyKind) -> GreedyResult {
-    let n = instance.len();
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    for start in 0..n {
-        if let Some(dag) = instance.precedence() {
-            if !dag.predecessors(start).is_empty() {
-                continue;
-            }
-        }
-        let order = chain_from(instance, start, kind);
-        let plan = Plan::new(order.clone()).expect("chain is a permutation");
-        let cost = bottleneck_cost(instance, &plan);
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            best = Some((order, cost));
-        }
-    }
-    let (order, cost) = best.expect("acyclic precedence admits a start");
-    GreedyResult { plan: Plan::new(order).expect("permutation"), cost, kind }
+    best_of_kinds(instance, &[kind])
 }
 
 /// The best result across [`GreedyKind::ALL`].
 pub fn best_greedy(instance: &QueryInstance) -> GreedyResult {
-    GreedyKind::ALL
-        .into_iter()
-        .map(|kind| greedy(instance, kind))
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .expect("ALL is non-empty")
+    best_of_kinds(instance, &GreedyKind::ALL)
 }
 
 /// The best result across [`GreedyKind::FAST`] — strictly `O(n³)`,
@@ -115,56 +95,123 @@ pub fn best_greedy(instance: &QueryInstance) -> GreedyResult {
 /// tier-1 heuristic of the serving layer's tiered planner; E16 measures
 /// its optimality gap.
 pub fn fast_greedy(instance: &QueryInstance) -> GreedyResult {
-    GreedyKind::FAST
-        .into_iter()
-        .map(|kind| greedy(instance, kind))
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .expect("FAST is non-empty")
+    best_of_kinds(instance, &GreedyKind::FAST)
 }
 
-fn chain_from(instance: &QueryInstance, start: usize, kind: GreedyKind) -> Vec<usize> {
-    let n = instance.len();
-    let mut order = vec![start];
-    let mut placed = BitSet::new(n);
-    placed.insert(start);
-    let mut prefix = 1.0;
-    while order.len() < n {
-        let u = *order.last().expect("chain non-empty");
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..n {
-            if placed.contains(j) {
-                continue;
-            }
-            if let Some(dag) = instance.precedence() {
-                if !dag.is_ready(j, &placed) {
-                    continue;
-                }
-            }
-            let score = match kind {
-                GreedyKind::MinTransfer => instance.transfer(u, j),
-                GreedyKind::MinCompletedTerm => {
-                    prefix * (instance.cost(u) + instance.selectivity(u) * instance.transfer(u, j))
-                }
-                GreedyKind::MinTentativeTerm => {
-                    let min_out = (0..n)
-                        .filter(|&l| l != j && !placed.contains(l))
-                        .map(|l| instance.transfer(j, l))
-                        .fold(instance.sink_cost(j), f64::min);
-                    prefix
-                        * instance.selectivity(u)
-                        * (instance.cost(j) + instance.selectivity(j) * min_out)
-                }
-            };
-            if best.is_none_or(|(_, s)| score < s) {
-                best = Some((j, score));
+/// The cheapest chain over `kinds` and every feasible start; on equal
+/// costs the earlier kind, then the earlier start, wins.
+///
+/// Each kind only has to beat the best chain so far, so its chains are
+/// abandoned as soon as their running bottleneck reaches that cost. The
+/// bound is carried across kinds only while it is positive: for
+/// non-negative costs `total_cmp` and `<` then agree, so the result is
+/// the one per-kind runs compared with `total_cmp` would pick.
+fn best_of_kinds(instance: &QueryInstance, kinds: &[GreedyKind]) -> GreedyResult {
+    let mut chains = ChainBuilder::new(instance);
+    let mut best: Option<GreedyResult> = None;
+    for &kind in kinds {
+        let bound =
+            best.as_ref().map_or(f64::NAN, |b| if b.cost > 0.0 { b.cost } else { f64::NAN });
+        if let Some((order, cost)) = chains.best(kind, bound) {
+            if best.as_ref().is_none_or(|b| cost.total_cmp(&b.cost).is_lt()) {
+                let plan = Plan::new(order).expect("chain is a permutation");
+                best = Some(GreedyResult { plan, cost, kind });
             }
         }
-        let (j, _) = best.expect("acyclic precedence always leaves a ready service");
-        prefix *= instance.selectivity(u);
-        order.push(j);
-        placed.insert(j);
     }
-    order
+    best.expect("acyclic precedence admits a start")
+}
+
+/// Builds greedy chains into reused buffers, folding each chain's
+/// bottleneck cost (Eq. 1, with [`bottleneck_cost`]'s exact arithmetic)
+/// while it grows.
+///
+/// [`bottleneck_cost`]: dsq_core::bottleneck_cost
+struct ChainBuilder<'a> {
+    instance: &'a QueryInstance,
+    order: Vec<usize>,
+    placed: BitSet,
+}
+
+impl<'a> ChainBuilder<'a> {
+    fn new(instance: &'a QueryInstance) -> Self {
+        let n = instance.len();
+        ChainBuilder { instance, order: Vec::with_capacity(n), placed: BitSet::new(n) }
+    }
+
+    /// The cheapest `kind` chain over every feasible start that costs
+    /// less than `bound` (a NaN `bound` admits any first chain); the
+    /// earliest start wins ties.
+    fn best(&mut self, kind: GreedyKind, mut bound: f64) -> Option<(Vec<usize>, f64)> {
+        let mut best: Option<Vec<usize>> = None;
+        for start in 0..self.instance.len() {
+            if self.instance.precedence().is_some_and(|dag| !dag.predecessors(start).is_empty()) {
+                continue;
+            }
+            if let Some(cost) = self.build(start, kind, bound) {
+                bound = cost;
+                match &mut best {
+                    Some(order) => order.copy_from_slice(&self.order),
+                    None => best = Some(self.order.clone()),
+                }
+            }
+        }
+        best.map(|order| (order, bound))
+    }
+
+    /// Builds the chain from `start` into `self.order` and returns its
+    /// bottleneck cost, or `None` as soon as the running maximum reaches
+    /// `bound` (it can only grow, so the chain cannot win).
+    fn build(&mut self, start: usize, kind: GreedyKind, bound: f64) -> Option<f64> {
+        let inst = self.instance;
+        let n = inst.len();
+        let dag = inst.precedence();
+        self.order.clear();
+        self.order.push(start);
+        self.placed.clear();
+        self.placed.insert(start);
+        let mut prefix = 1.0;
+        let mut cost = 0.0_f64;
+        let mut u = start;
+        while self.order.len() < n {
+            let (c_u, s_u) = (inst.cost(u), inst.selectivity(u));
+            let row = inst.comm().row(u);
+            let mut next: Option<(usize, f64)> = None;
+            for j in self.placed.iter_unset() {
+                if dag.is_some_and(|dag| !dag.is_ready(j, &self.placed)) {
+                    continue;
+                }
+                let score = match kind {
+                    GreedyKind::MinTransfer => row[j],
+                    GreedyKind::MinCompletedTerm => prefix * (c_u + s_u * row[j]),
+                    GreedyKind::MinTentativeTerm => {
+                        let out = inst.comm().row(j);
+                        let min_out = self
+                            .placed
+                            .iter_unset()
+                            .filter(|&l| l != j)
+                            .map(|l| out[l])
+                            .fold(inst.sink_cost(j), f64::min);
+                        prefix * s_u * (inst.cost(j) + inst.selectivity(j) * min_out)
+                    }
+                };
+                if next.is_none_or(|(_, s)| score < s) {
+                    next = Some((j, score));
+                }
+            }
+            let (j, _) = next.expect("acyclic precedence always leaves a ready service");
+            cost = cost.max(prefix * (c_u + s_u * row[j]));
+            if cost >= bound {
+                return None;
+            }
+            prefix *= s_u;
+            self.order.push(j);
+            self.placed.insert(j);
+            u = j;
+        }
+        cost = cost.max(prefix * (inst.cost(u) + inst.selectivity(u) * inst.sink_cost(u)));
+        (cost < bound || bound.is_nan()).then_some(cost)
+    }
 }
 
 #[cfg(test)]

@@ -42,10 +42,14 @@ pub struct BnbConfig {
     /// With the incremental bound engine
     /// ([`SearchContext`](crate::bnb::SearchContext)) the tight mode's
     /// per-row maxima come from pre-sorted transfer rows — `O(1)` per row
-    /// while the row head is unplaced, `O(depth)` worst case — so tight
-    /// nodes are near-linear in `|R|` in practice instead of
-    /// unconditionally quadratic; the switch remains for the E3 ablation
-    /// and for bound-quality comparisons.
+    /// while the row head is unplaced, `O(depth)` worst case. The node
+    /// test `ε ≥ ε̄` stops at the first term above `ε`
+    /// ([`epsilon_bar_closes`](crate::bnb::SearchContext::epsilon_bar_closes)),
+    /// and the first term — the last placed service's — decides almost
+    /// every open node, so a tight node costs `O(1)` in practice and only
+    /// nodes near a closure pay the full `O(|R|)` pass. Both modes make
+    /// identical decisions to a full evaluation; the switch remains for
+    /// the E3 ablation and for bound-quality comparisons.
     pub tight_epsilon_bar: bool,
     /// **Extension beyond the paper**: prune nodes whose optimistic
     /// completion bound (best prefix × best outgoing transfer per remaining

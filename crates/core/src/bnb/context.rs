@@ -1,10 +1,12 @@
 //! Cache-friendly shared search data and the incremental bound engine.
 //!
-//! The branch-and-bound hot path evaluates `ε̄` and the optimistic
-//! completion bound at every node. Doing that against [`QueryInstance`]
-//! directly costs an accessor indirection per parameter, an `O(n)` product
-//! rebuild per bound, and — in tight mode — an `O(|R|²)` max scan per node.
-//! This module replaces all of that with two pieces:
+//! The branch-and-bound hot path compares `ε̄` with `ε` and the optimistic
+//! completion bound with `ρ` at every node. Doing that against
+//! [`QueryInstance`] directly costs an accessor indirection per parameter,
+//! an `O(n)` product rebuild per bound, and — in tight mode — an
+//! `O(|R|²)` max scan per node. This module replaces all of that with two
+//! pieces, and decides each comparison at the first bound term that
+//! settles it:
 //!
 //! * [`SearchContext`] — an immutable, per-instance snapshot built **once**
 //!   per `optimize` call (and shared by every worker of
@@ -34,6 +36,7 @@
 
 use crate::bitset::BitSet;
 use crate::instance::QueryInstance;
+use std::ops::ControlFlow;
 
 /// Immutable, cache-friendly snapshot of a [`QueryInstance`] for the
 /// branch-and-bound search: flat parameter arrays plus pre-sorted per-row
@@ -227,7 +230,10 @@ impl SearchContext {
     /// Cost: `O(|R|)` row-maximum lookups, each `O(1)` while the head of
     /// its sorted row is unplaced and `O(depth)` worst case — so
     /// `O(|R| · depth)` adversarially, but near-linear in practice,
-    /// versus the closed form's unconditional `O(n·|R|)`.
+    /// versus the closed form's unconditional `O(n·|R|)`. The search
+    /// itself only needs the comparison `ε ≥ ε̄`, which
+    /// [`epsilon_bar_closes`](Self::epsilon_bar_closes) decides without
+    /// evaluating every term.
     pub fn epsilon_bar(
         &self,
         state: &IncrementalBounds,
@@ -235,15 +241,67 @@ impl SearchContext {
         prefix_last: f64,
         tight: bool,
     ) -> f64 {
+        // `NaN.max(x) == x`: the NaN seed makes the first term the start
+        // value, exactly as a fold seeded with that term.
+        let mut bound = f64::NAN;
+        let _ = self.try_for_each_epsilon_term(state, last, prefix_last, tight, |term| {
+            bound = bound.max(term);
+            ControlFlow::Continue(())
+        });
+        bound
+    }
+
+    /// The Lemma-2 closure test `eps >= epsilon_bar(..)`, decided at the
+    /// first term above `eps`.
+    ///
+    /// Visits the terms in [`epsilon_bar`](Self::epsilon_bar)'s order with
+    /// the same arithmetic and stops as soon as one exceeds `eps`: `ε̄` is
+    /// at least that term, so the closure cannot hold. A full pass
+    /// compares `eps` against the identical running maximum, so the
+    /// decision equals `eps >= epsilon_bar(..)` for every input, NaN
+    /// terms included. In the search almost every open node is decided by
+    /// its first term, making the test `O(1)` per node in practice.
+    pub fn epsilon_bar_closes(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        tight: bool,
+        eps: f64,
+    ) -> bool {
+        let mut bound = f64::NAN;
+        self.try_for_each_epsilon_term(state, last, prefix_last, tight, |term| {
+            bound = bound.max(term);
+            if term > eps {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_continue()
+            && eps >= bound
+    }
+
+    /// The `ε̄` formula: feeds its terms to `visit` — the last placed
+    /// service's term first, then one per remaining service in ascending
+    /// index order — until `visit` breaks.
+    #[inline]
+    fn try_for_each_epsilon_term(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        tight: bool,
+        mut visit: impl FnMut(f64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let remaining = state.remaining();
         debug_assert!(!remaining.is_empty(), "ε̄ is only defined for incomplete plans");
-        let p = prefix_last * self.selectivity[last];
-        let inflation = state.inflation();
-
         let max_t_last =
             if tight { self.max_transfer_to(last, remaining) } else { self.row_max[last] };
-        let mut bound = prefix_last * (self.cost[last] + self.selectivity[last] * max_t_last);
+        visit(prefix_last * (self.cost[last] + self.selectivity[last] * max_t_last))?;
 
+        let p = prefix_last * self.selectivity[last];
+        let inflation = state.inflation();
         for j in remaining.iter() {
             let sigma_j = self.selectivity[j];
             let max_out = if tight {
@@ -252,9 +310,9 @@ impl SearchContext {
                 self.row_max[j]
             };
             let inflation_j = if sigma_j > 1.0 { inflation / sigma_j } else { inflation };
-            bound = bound.max(p * inflation_j * (self.cost[j] + sigma_j * max_out));
+            visit(p * inflation_j * (self.cost[j] + sigma_j * max_out))?;
         }
-        bound
+        ControlFlow::Continue(())
     }
 
     /// Optimistic lower bound on the bottleneck cost of any completion of
@@ -268,14 +326,52 @@ impl SearchContext {
         last: usize,
         prefix_last: f64,
     ) -> f64 {
+        let mut bound = f64::NAN;
+        let _ = self.try_for_each_lower_bound_term(state, last, prefix_last, |term| {
+            bound = bound.max(term);
+            ControlFlow::Continue(())
+        });
+        bound
+    }
+
+    /// The lower-bound prune test `completion_lower_bound(..) >= rho`,
+    /// decided at the first term that reaches `rho`. The maximum reaches
+    /// `rho` exactly when one of its (non-NaN) terms does, so stopping
+    /// there gives the same decision as the full bound.
+    pub fn completion_lower_bound_reaches(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        rho: f64,
+    ) -> bool {
+        self.try_for_each_lower_bound_term(state, last, prefix_last, |term| {
+            if term >= rho {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
+    }
+
+    /// The completion-lower-bound formula, visited term by term in the
+    /// same order as [`try_for_each_epsilon_term`](Self::try_for_each_epsilon_term).
+    #[inline]
+    fn try_for_each_lower_bound_term(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        mut visit: impl FnMut(f64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let remaining = state.remaining();
         debug_assert!(!remaining.is_empty());
+        let min_t_last = self.min_transfer_to(last, remaining);
+        visit(prefix_last * (self.cost[last] + self.selectivity[last] * min_t_last))?;
+
         let p = prefix_last * self.selectivity[last];
         let shrink = state.shrink();
-
-        let min_t_last = self.min_transfer_to(last, remaining);
-        let mut bound = prefix_last * (self.cost[last] + self.selectivity[last] * min_t_last);
-
         for j in remaining.iter() {
             let sigma_j = self.selectivity[j];
             let min_out = self.sink[j].min(self.min_transfer_to(j, remaining));
@@ -284,9 +380,9 @@ impl SearchContext {
             } else {
                 shrink
             };
-            bound = bound.max(p * shrink_j * (self.cost[j] + sigma_j * min_out));
+            visit(p * shrink_j * (self.cost[j] + sigma_j * min_out))?;
         }
-        bound
+        ControlFlow::Continue(())
     }
 }
 
@@ -606,6 +702,72 @@ mod tests {
             state.reset(&ctx);
             plan.clear();
             check_against_reference(&inst, &ctx, &state, &plan, &row_max);
+        }
+    }
+
+    /// `x` and the floats one ulp below and above it (`x ≥ 0`).
+    fn ulp_around(x: f64) -> [f64; 3] {
+        let below = if x == 0.0 { -f64::from_bits(1) } else { f64::from_bits(x.to_bits() - 1) };
+        [below, x, f64::from_bits(x.to_bits() + 1)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The early-exit node tests decide exactly like a comparison
+        /// against the fully evaluated bound, in tight and loose mode, with
+        /// the threshold at the bound itself, one ulp either side, and
+        /// elsewhere.
+        #[test]
+        fn early_exit_tests_decide_like_the_full_bounds(
+            seed in 0u64..u64::MAX,
+            n in 3usize..10,
+            proliferative in 0u32..2,
+            steps in 10usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inst = random_instance(&mut rng, n, proliferative == 1);
+            let ctx = SearchContext::new(&inst);
+            let mut state = IncrementalBounds::new(&ctx);
+            let mut plan: Vec<usize> = Vec::new();
+            for _ in 0..steps {
+                if plan.len() + 1 < n && (plan.is_empty() || rng.gen_bool(0.6)) {
+                    let unplaced: Vec<usize> = state.remaining().iter().collect();
+                    let j = unplaced[rng.gen_range(0..unplaced.len())];
+                    state.push(&ctx, j);
+                    plan.push(j);
+                } else if let Some(j) = plan.pop() {
+                    state.pop(j);
+                }
+                let Some(&last) = plan.last() else { continue };
+                let prefix_last: f64 =
+                    plan[..plan.len() - 1].iter().map(|&s| inst.selectivity(s)).product();
+
+                for tight in [true, false] {
+                    let ebar = ctx.epsilon_bar(&state, last, prefix_last, tight);
+                    let scaled = ebar * rng.gen_range(0.5..1.5);
+                    let mut thresholds = ulp_around(ebar).to_vec();
+                    thresholds.extend([scaled, 0.0, f64::INFINITY, f64::NAN]);
+                    for eps in thresholds {
+                        prop_assert!(
+                            ctx.epsilon_bar_closes(&state, last, prefix_last, tight, eps)
+                                == (eps >= ebar),
+                            "ε = {:e}, ε̄ = {:e}, tight = {}", eps, ebar, tight
+                        );
+                    }
+                }
+
+                let lb = ctx.completion_lower_bound(&state, last, prefix_last);
+                let mut thresholds = ulp_around(lb).to_vec();
+                thresholds.extend([lb * rng.gen_range(0.5..1.5), 0.0, f64::INFINITY, f64::NAN]);
+                for rho in thresholds {
+                    prop_assert!(
+                        ctx.completion_lower_bound_reaches(&state, last, prefix_last, rho)
+                            == (lb >= rho),
+                        "ρ = {:e}, lower bound = {:e}", rho, lb
+                    );
+                }
+            }
         }
     }
 

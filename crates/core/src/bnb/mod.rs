@@ -6,14 +6,17 @@
 //! | Paper | Code |
 //! |-------|------|
 //! | Lemma 1 — `ε` never decreases along a prefix | `ε` is a running max over finalized terms (the searcher keeps it in the `eps_fin` stack); nodes with `ε ≥ ρ` are pruned, and root pairs are abandoned once their pair cost reaches `ρ` |
-//! | Lemma 2 — `ε ≥ ε̄` fixes the cost of all completions | [`BnbConfig::use_epsilon_bar`]; `ε̄` evaluated by [`SearchContext::epsilon_bar`] from the incremental engine state, including the proliferative-selectivity modification |
+//! | Lemma 2 — `ε ≥ ε̄` fixes the cost of all completions | [`BnbConfig::use_epsilon_bar`]; the test `ε ≥ ε̄` is decided by [`SearchContext::epsilon_bar_closes`] from the incremental engine state, stopping at the first `ε̄` term above `ε`; the `ε̄` formula ([`SearchContext::epsilon_bar`]) includes the proliferative-selectivity modification |
 //! | Lemma 3 — pruning up to the bottleneck service | [`BnbConfig::use_backjump`]; the search rewinds to the earliest position whose finalized term reaches `ρ`, which is sound because successors are expanded cheapest-transfer-first |
 //!
 //! # Architecture of the hot path
 //!
-//! Evaluating `ε̄` (and the optional completion lower bound) at every node
-//! *is* the optimizer's throughput ceiling, so the per-node work is split
-//! into two pieces (see [`context`]):
+//! Testing `ε ≥ ε̄` (and the optional completion lower bound against `ρ`)
+//! at every node *is* the optimizer's throughput ceiling, so the per-node
+//! work is split into two pieces (see [`context`]), and both tests stop
+//! at the first bound term that decides them — on btsp-hard nearly every
+//! open node is decided by the first term, so the tests cost `O(1)` per
+//! node in practice:
 //!
 //! * **[`SearchContext`]** — immutable, built once per `optimize` call and
 //!   shared by reference across all [`optimize_parallel`] workers: flat

@@ -24,6 +24,10 @@
 //!    record one (greedy feasible completion), update `ρ`, back-jump.
 //! 4. optional optimistic completion bound `≥ ρ` → prune (extension).
 //!
+//! Checks 3 and 4 visit their bound's terms in order and stop at the
+//! first one that decides the comparison (a term above `ε`, a term
+//! reaching `ρ`); the decisions are those of the fully evaluated bounds.
+//!
 //! # Back-jumping (Lemma 3)
 //!
 //! After a candidate/prune, the search scans the partial plan's finalized
@@ -562,49 +566,52 @@ impl<'a> Searcher<'a> {
             return false;
         }
 
-        if self.cfg.use_epsilon_bar {
-            let ebar = self.ctx.epsilon_bar(
+        if self.cfg.use_epsilon_bar
+            && self.ctx.epsilon_bar_closes(
                 &self.state,
                 last,
                 self.prefix[m - 1],
                 self.cfg.tight_epsilon_bar,
-            );
-            if eps >= ebar {
-                // Lemma 2: every completion of this prefix costs exactly ε.
-                self.stats.lemma2_closures += 1;
-                if eps < self.rho {
-                    let full = self.greedy_completion();
-                    debug_assert!(
-                        {
-                            let plan =
-                                Plan::new(full.clone()).expect("completion is a permutation");
-                            let actual = bottleneck_cost(self.inst, &plan);
-                            (actual - eps).abs() <= 1e-9 * eps.max(1.0)
-                        },
-                        "Lemma-2 closure must equal the completion's true cost"
-                    );
-                    self.rho = eps;
-                    self.best = Some(full);
-                    self.stats.candidates_recorded += 1;
-                    self.publish_incumbent(eps);
-                    if self.halt_on_candidate {
-                        self.halted = true;
-                    }
+                eps,
+            )
+        {
+            // Lemma 2: every completion of this prefix costs exactly ε.
+            self.stats.lemma2_closures += 1;
+            if eps < self.rho {
+                let full = self.greedy_completion();
+                debug_assert!(
+                    {
+                        let plan = Plan::new(full.clone()).expect("completion is a permutation");
+                        let actual = bottleneck_cost(self.inst, &plan);
+                        (actual - eps).abs() <= 1e-9 * eps.max(1.0)
+                    },
+                    "Lemma-2 closure must equal the completion's true cost"
+                );
+                self.rho = eps;
+                self.best = Some(full);
+                self.stats.candidates_recorded += 1;
+                self.publish_incumbent(eps);
+                if self.halt_on_candidate {
+                    self.halted = true;
                 }
-                self.rewind();
-                return false;
             }
+            self.rewind();
+            return false;
         }
 
-        if self.cfg.use_lower_bound {
-            let lb = self.ctx.completion_lower_bound(&self.state, last, self.prefix[m - 1]);
-            if lb >= self.rho {
-                self.stats.prunes_lower_bound += 1;
-                // The bound covers every completion of this node, but says
-                // nothing about siblings: plain backtrack, no back-jump.
-                self.pop_one();
-                return false;
-            }
+        if self.cfg.use_lower_bound
+            && self.ctx.completion_lower_bound_reaches(
+                &self.state,
+                last,
+                self.prefix[m - 1],
+                self.rho,
+            )
+        {
+            self.stats.prunes_lower_bound += 1;
+            // The bound covers every completion of this node, but says
+            // nothing about siblings: plain backtrack, no back-jump.
+            self.pop_one();
+            return false;
         }
 
         true

@@ -668,23 +668,51 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
 }
 
 fn snapshot_loop(inner: &Inner, path: &std::path::Path, interval: Duration) {
-    loop {
-        let requested = inner.shutdown_requested.lock().expect("signal lock");
-        let (_guard, _timeout) =
-            inner.signal.wait_timeout(requested, interval).expect("signal lock");
-        if inner.shutdown.load(Ordering::SeqCst) {
-            // The final snapshot is written by `shutdown()` once the
-            // workers are quiescent.
-            return;
-        }
+    // The final snapshot is written by `shutdown()` once the workers are
+    // quiescent.
+    while wait_interval(&inner.shutdown, &inner.shutdown_requested, &inner.signal, interval) {
         inner.write_snapshot(path);
     }
 }
 
+/// Sleeps for `interval` or until shutdown is signalled; `false` once
+/// shutdown has begun. The flag is checked under the signal lock before
+/// waiting: a snapshot thread scheduled only after `shutdown()` notified
+/// would otherwise sleep through its whole interval and stall the join.
+fn wait_interval(
+    shutdown: &AtomicBool,
+    requested: &Mutex<bool>,
+    signal: &Condvar,
+    interval: Duration,
+) -> bool {
+    let guard = requested.lock().expect("signal lock");
+    if shutdown.load(Ordering::SeqCst) {
+        return false;
+    }
+    let _ = signal.wait_timeout(guard, interval).expect("signal lock");
+    !shutdown.load(Ordering::SeqCst)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{load_aware_retry_ms, ServerStats};
+    use super::{load_aware_retry_ms, wait_interval, ServerStats};
     use dsq_service::{CacheStats, TieredStats};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Condvar, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// Regression: the snapshot thread waited on the shutdown signal
+    /// without checking the flag first, so a thread that reached its
+    /// wait after `shutdown()` had notified slept through its whole
+    /// interval (an hour in the pipeline tests) and hung the join.
+    #[test]
+    fn a_snapshot_wait_that_starts_after_shutdown_returns_at_once() {
+        let (shutdown, requested, signal) =
+            (AtomicBool::new(true), Mutex::new(true), Condvar::new());
+        let started = Instant::now();
+        assert!(!wait_interval(&shutdown, &requested, &signal, Duration::from_secs(2)));
+        assert!(started.elapsed() < Duration::from_secs(1), "slept through the interval");
+    }
 
     /// The Display form is generated from the token table and pinned
     /// byte for byte — the companion tripwire to the pinned wire line

@@ -29,13 +29,15 @@ impl Default for BatchOptions {
 
 /// Serves a batch of instances through the shared cache across a pool of
 /// worker threads, returning one [`ServedPlan`] per request **in request
-/// order**. Which request of a fingerprint group arrives first and pays
-/// the cold search depends on scheduling, so the
-/// [`ServeSource`](crate::ServeSource) attribution and search statistics
-/// are not deterministic; for **exact-duplicate** requests neither plans
-/// nor costs can vary (every cold search of the duplicate is identical),
-/// but near-identical requests sharing a fingerprint may be served the
-/// plan of whichever occurrence won the race — any such plan has passed
+/// order**. Concurrent misses on one fingerprint share a single search
+/// (the cache's single-flight), so an exact-duplicate group costs exactly
+/// one cold search and its other requests hit. Which request of the group
+/// arrives first and pays that search depends on scheduling, so the
+/// per-request [`ServeSource`](crate::ServeSource) attribution and search
+/// statistics are not deterministic, though the counts are; for
+/// **exact-duplicate** requests neither plans nor costs can vary, but
+/// near-identical requests sharing a fingerprint may be served the plan
+/// of whichever occurrence won the race — any such plan has passed
 /// exact-instance validation, i.e. it is within the cache's tolerance,
 /// not necessarily the same bits across runs.
 ///
@@ -109,16 +111,12 @@ mod tests {
             assert_eq!(served.cost.to_bits(), fresh.cost().to_bits());
             assert_eq!(&served.plan, fresh.plan());
         }
-        // 3 distinct shapes across 12 requests. Two workers racing the
-        // same not-yet-cached fingerprint may both pay a cold search
-        // (the shard lock is deliberately not held while optimizing),
-        // so the exact cold count is scheduling-dependent: at least one
-        // per shape, at most one per worker per shape.
+        // 3 distinct shapes across 12 requests. Workers racing the same
+        // not-yet-cached fingerprint wait for the one search in flight
+        // and then hit, so exactly one cold search runs per shape.
         let stats = cache.stats();
         assert_eq!(stats.requests(), 12);
-        assert!((3..=6).contains(&stats.misses), "misses: {}", stats.misses);
-        assert_eq!(stats.hits + stats.misses, 12);
-        assert!(stats.hits >= 6, "repeats must mostly hit: {}", stats.hits);
+        assert_eq!((stats.misses, stats.hits, stats.warm_starts), (3, 9, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dsq_core::{
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Grid phase of the second probe: a parameter walking across a
 /// boundary of the primary grid sits at the center of this one.
@@ -187,10 +187,12 @@ struct Entry {
     /// Bottleneck cost of the plan on the instance that produced it —
     /// the reference value a bucket-hit validates against.
     cost: f64,
-    /// The representative instance in `dsq-instance` text form: what
-    /// snapshots persist, so a restored cache can re-verify fingerprints
-    /// and re-derive probe aliases.
-    instance: String,
+    /// The representative instance that produced the plan, shared by a
+    /// primary entry and its probe-2 alias. Snapshots render it to
+    /// `dsq-instance` text when they run (so a restored cache can
+    /// re-verify fingerprints and re-derive probe aliases); partition
+    /// exports derive alias keys from it directly.
+    instance: Arc<QueryInstance>,
     /// `true` for primary-grid entries (the ones snapshots serialize).
     primary: bool,
     /// `true` when the plan came from a completed exact search; `false`
@@ -211,6 +213,9 @@ struct Entry {
 struct Shard {
     map: HashMap<u64, Entry>,
     order: VecDeque<(u64, u64)>,
+    /// Exact searches in progress, by the primary fingerprint of the
+    /// request that started them (see [`PlanCache::lead_search`]).
+    flights: HashMap<u64, Arc<Flight>>,
     tick: u64,
     hits: u64,
     probe2_hits: u64,
@@ -275,9 +280,63 @@ impl Shard {
 struct PendingEntry {
     canonical_plan: Vec<u32>,
     cost: f64,
-    instance: String,
+    instance: Arc<QueryInstance>,
     primary: bool,
     exact: bool,
+}
+
+/// A resident entry's snapshot material, taken out from under a shard
+/// lock so its instance text can be rendered after the lock is released.
+struct Resident {
+    fingerprint: u64,
+    cost: f64,
+    canonical_plan: Vec<u32>,
+    instance: Arc<QueryInstance>,
+}
+
+/// One in-progress exact search that requests missing on the same
+/// primary fingerprint wait for instead of repeating it.
+#[derive(Debug, Default)]
+struct Flight {
+    done: Mutex<bool>,
+    finished: Condvar,
+}
+
+impl Flight {
+    fn wait(&self) {
+        let mut done = lock(&self.done);
+        while !*done {
+            done = self.finished.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The leader's hold on a [`Flight`]: dropping it (after the write-back,
+/// or while unwinding from a panicking search) unregisters the flight and
+/// wakes its followers.
+struct FlightLead<'a> {
+    shard: &'a Mutex<Shard>,
+    fingerprint: u64,
+    flight: Arc<Flight>,
+}
+
+impl Drop for FlightLead<'_> {
+    fn drop(&mut self) {
+        lock(self.shard).flights.remove(&self.fingerprint);
+        *lock(&self.flight.done) = true;
+        self.flight.finished.notify_all();
+    }
+}
+
+/// What one probe-and-validate pass found for a request.
+enum Lookup {
+    /// A validated hit, ready to return.
+    Hit(ServedPlan),
+    /// A fingerprint hit whose plan failed validation: the plan seeds a
+    /// warm-started search.
+    Stale(Plan),
+    /// No usable entry: a cold search (or the tier-1 heuristic).
+    Miss,
 }
 
 /// Error raised by [`PlanCache::restore`] /
@@ -396,16 +455,12 @@ impl PlanCache {
         cost: f64,
         exact: bool,
     ) {
-        // Heuristic-tier entries are transient — skipped by `snapshot`
-        // and re-written (exact, with a fresh serialization) when their
-        // refinement lands — so serializing the instance for them would
-        // only tax the tier-1 latency the tier exists to protect.
-        let text = if exact { format_instance(instance) } else { String::new() };
+        let instance_handle = Arc::new(instance.clone());
         let capacity = self.config.capacity_per_shard;
         let pending = PendingEntry {
             canonical_plan: primary.plan_to_canonical(plan),
             cost,
-            instance: text.clone(),
+            instance: Arc::clone(&instance_handle),
             primary: true,
             exact,
         };
@@ -417,7 +472,7 @@ impl PlanCache {
             let alias = PendingEntry {
                 canonical_plan: shifted.plan_to_canonical(plan),
                 cost,
-                instance: text,
+                instance: instance_handle,
                 primary: false,
                 exact,
             };
@@ -487,107 +542,148 @@ impl PlanCache {
         &self,
         instance: &QueryInstance,
         config: &BnbConfig,
-        heuristic: Option<impl FnOnce(&QueryInstance) -> (Plan, f64)>,
+        mut heuristic: Option<impl FnOnce(&QueryInstance) -> (Plan, f64)>,
     ) -> ServedPlan {
         let key = CanonicalKey::new(instance, &self.config.quantization);
         let fingerprint = key.fingerprint();
-
-        // Primary-grid probe, then (with `probes: 2`) the shifted grid.
-        // The hot validated-hit path computes a single fingerprint; the
-        // second one is only derived after a primary miss.
-        let mut cached = self.probe(&key);
         let mut shifted: Option<CanonicalKey> = None;
-        let mut via_probe2 = false;
-        if cached.is_none() && self.config.probes == 2 {
-            let alias = CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE);
-            cached = self.probe(&alias);
-            via_probe2 = cached.is_some();
-            shifted = Some(alias);
-        }
 
-        if let Some((plan, cached_cost, entry_exact)) = cached {
-            let feasible = instance.precedence().is_none_or(|dag| plan.satisfies(dag));
-            if feasible {
-                let exact = bottleneck_cost(instance, &plan);
-                let spread = (exact - cached_cost).abs();
-                if spread <= self.config.validation_tolerance * exact.abs().max(cached_cost.abs()) {
-                    // Bump the recency of the entry that answered. A
-                    // probe-2 hit deliberately does NOT write a fresh
-                    // primary entry ("healing"): a walking parameter
-                    // flips its primary bucket every few requests, so
-                    // per-flip inserts would double the write traffic
-                    // and age the stable alias — the one slot that keeps
-                    // answering — out of a loaded LRU shard.
-                    let answered =
-                        shifted.as_ref().map_or(fingerprint, |alias| alias.fingerprint());
-                    let capacity = self.config.capacity_per_shard;
-                    let mut guard = lock(self.shard(answered));
-                    guard.hits += 1;
-                    guard.probe2_hits += u64::from(via_probe2);
-                    guard.touch(answered, capacity);
-                    let (tier, optimality_gap) = if entry_exact {
-                        (PlanTier::Exact, Some(0.0))
-                    } else {
-                        (PlanTier::Heuristic, None)
-                    };
+        // Look up; a request that needs an exact search first becomes the
+        // leader of that search for its primary fingerprint, or waits for
+        // the leader already searching and looks up again — concurrent
+        // identical misses pay one search, and the followers hit. A new
+        // leader looks up once more, in case the previous leader finished
+        // between the first lookup and the registration. Hits never touch
+        // the flight registry.
+        let mut lead: Option<FlightLead<'_>> = None;
+        let seed = loop {
+            let seed = match self.lookup(instance, &key, &mut shifted) {
+                Lookup::Hit(served) => return served,
+                Lookup::Stale(plan) => Some(plan),
+                Lookup::Miss => None,
+            };
+            if seed.is_none() {
+                if let Some(heuristic) = heuristic.take() {
+                    let (plan, cost) = heuristic(instance);
+                    self.write_back(instance, &key, shifted, &plan, cost, false);
+                    lock(self.shard(fingerprint)).misses += 1;
                     return ServedPlan {
                         plan,
-                        cost: exact,
-                        source: ServeSource::CacheHit,
+                        cost,
+                        source: ServeSource::Cold,
                         fingerprint,
-                        tier,
-                        optimality_gap,
+                        tier: PlanTier::Heuristic,
+                        optimality_gap: None,
                         search: None,
                     };
                 }
-                // Out of tolerance: re-optimize, seeded with the cached
-                // plan (its cost is near-optimal, so ρ prunes hard).
-                // This runs the exact search even under a heuristic miss
-                // policy — a stale entry already proves the key is hot,
-                // so the warm start doubles as its refinement.
-                let warm_config = config.clone().with_initial_incumbent(plan);
-                let result = optimize_with(instance, &warm_config);
-                self.write_back(instance, &key, shifted, result.plan(), result.cost(), true);
-                lock(self.shard(fingerprint)).warm_starts += 1;
-                return ServedPlan {
-                    plan: result.plan().clone(),
-                    cost: result.cost(),
-                    source: ServeSource::WarmStart,
-                    fingerprint,
-                    tier: PlanTier::Exact,
-                    optimality_gap: Some(0.0),
-                    search: Some(result.stats().clone()),
-                };
             }
-        }
+            // A zero-capacity cache keeps nothing for followers to hit.
+            if lead.is_some() || self.config.capacity_per_shard == 0 {
+                break seed;
+            }
+            match self.lead_search(fingerprint) {
+                Ok(flight) => lead = Some(flight),
+                Err(flight) => flight.wait(),
+            }
+        };
 
-        if let Some(heuristic) = heuristic {
-            let (plan, cost) = heuristic(instance);
-            self.write_back(instance, &key, shifted, &plan, cost, false);
-            lock(self.shard(fingerprint)).misses += 1;
-            return ServedPlan {
-                plan,
-                cost,
-                source: ServeSource::Cold,
-                fingerprint,
-                tier: PlanTier::Heuristic,
-                optimality_gap: None,
-                search: None,
-            };
-        }
-
-        let result = optimize_with(instance, config);
+        // A stale entry re-optimizes seeded with the cached plan (its cost
+        // is near-optimal, so ρ prunes hard). This runs the exact search
+        // even under a heuristic miss policy — a stale entry already
+        // proves the key is hot, so the warm start doubles as its
+        // refinement.
+        let (result, source) = match seed {
+            Some(plan) => (
+                optimize_with(instance, &config.clone().with_initial_incumbent(plan)),
+                ServeSource::WarmStart,
+            ),
+            None => (optimize_with(instance, config), ServeSource::Cold),
+        };
         self.write_back(instance, &key, shifted, result.plan(), result.cost(), true);
-        lock(self.shard(fingerprint)).misses += 1;
+        let mut guard = lock(self.shard(fingerprint));
+        if source == ServeSource::WarmStart {
+            guard.warm_starts += 1;
+        } else {
+            guard.misses += 1;
+        }
+        // Released before `lead` drops: its drop locks this shard.
+        drop(guard);
         ServedPlan {
             plan: result.plan().clone(),
             cost: result.cost(),
-            source: ServeSource::Cold,
+            source,
             fingerprint,
             tier: PlanTier::Exact,
             optimality_gap: Some(0.0),
             search: Some(result.stats().clone()),
         }
+    }
+
+    /// Probes the primary grid, then (with `probes: 2`) the shifted grid,
+    /// and validates a found plan on the exact instance. The hot
+    /// validated-hit path computes a single fingerprint; the shifted one
+    /// is only derived after a primary miss, into `shifted`.
+    fn lookup(
+        &self,
+        instance: &QueryInstance,
+        key: &CanonicalKey,
+        shifted: &mut Option<CanonicalKey>,
+    ) -> Lookup {
+        let mut answered = key.fingerprint();
+        let mut cached = self.probe(key);
+        let mut via_probe2 = false;
+        if cached.is_none() && self.config.probes == 2 {
+            let alias = shifted.get_or_insert_with(|| {
+                CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE)
+            });
+            cached = self.probe(alias);
+            via_probe2 = cached.is_some();
+            answered = alias.fingerprint();
+        }
+        let Some((plan, cached_cost, entry_exact)) = cached else { return Lookup::Miss };
+        if !instance.precedence().is_none_or(|dag| plan.satisfies(dag)) {
+            return Lookup::Miss;
+        }
+        let exact = bottleneck_cost(instance, &plan);
+        let spread = (exact - cached_cost).abs();
+        if spread > self.config.validation_tolerance * exact.abs().max(cached_cost.abs()) {
+            return Lookup::Stale(plan);
+        }
+        // Bump the recency of the entry that answered. A probe-2 hit
+        // deliberately does NOT write a fresh primary entry ("healing"): a
+        // walking parameter flips its primary bucket every few requests,
+        // so per-flip inserts would double the write traffic and age the
+        // stable alias — the one slot that keeps answering — out of a
+        // loaded LRU shard.
+        let mut guard = lock(self.shard(answered));
+        guard.hits += 1;
+        guard.probe2_hits += u64::from(via_probe2);
+        guard.touch(answered, self.config.capacity_per_shard);
+        let (tier, optimality_gap) =
+            if entry_exact { (PlanTier::Exact, Some(0.0)) } else { (PlanTier::Heuristic, None) };
+        Lookup::Hit(ServedPlan {
+            plan,
+            cost: exact,
+            source: ServeSource::CacheHit,
+            fingerprint: key.fingerprint(),
+            tier,
+            optimality_gap,
+            search: None,
+        })
+    }
+
+    /// Registers the caller as the leader of the exact search for
+    /// `fingerprint`, or returns the search already in flight to wait on.
+    fn lead_search(&self, fingerprint: u64) -> Result<FlightLead<'_>, Arc<Flight>> {
+        let shard = self.shard(fingerprint);
+        let mut guard = lock(shard);
+        if let Some(flight) = guard.flights.get(&fingerprint) {
+            return Err(Arc::clone(flight));
+        }
+        let flight = Arc::new(Flight::default());
+        guard.flights.insert(fingerprint, Arc::clone(&flight));
+        Ok(FlightLead { shard, fingerprint, flight })
     }
 
     /// A snapshot of the counters, summed across shards.
@@ -617,20 +713,21 @@ impl PlanCache {
     /// Entries are ordered by fingerprint, so equal caches produce
     /// byte-identical snapshots regardless of insertion order.
     pub fn snapshot(&self) -> PlanSnapshot {
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
+        // Only handles are cloned under a shard lock; the instance text is
+        // rendered after the lock is released.
+        let mut resident: Vec<Resident> = Vec::new();
         for shard in &self.shards {
             let guard = lock(shard);
-            for (&fingerprint, entry) in guard.map.iter().filter(|(_, e)| e.primary && e.exact) {
-                entries.push(SnapshotEntry {
+            resident.extend(guard.map.iter().filter(|(_, e)| e.primary && e.exact).map(
+                |(&fingerprint, entry)| Resident {
                     fingerprint,
                     cost: entry.cost,
                     canonical_plan: entry.canonical_plan.clone(),
-                    instance: entry.instance.clone(),
-                });
-            }
+                    instance: Arc::clone(&entry.instance),
+                },
+            ));
         }
-        entries.sort_by_key(|e| e.fingerprint);
-        PlanSnapshot::new(&self.config.quantization, entries)
+        self.render(resident)
     }
 
     /// Exports **and removes** the resident primary exact-tier entries
@@ -649,7 +746,7 @@ impl PlanCache {
     /// Entries are ordered by fingerprint, so equal caches produce
     /// byte-identical exports regardless of insertion order.
     pub fn export_partition(&self, moved: impl Fn(u64) -> bool) -> PlanSnapshot {
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
+        let mut exported: Vec<Resident> = Vec::new();
         for shard in &self.shards {
             let mut guard = lock(shard);
             let moving: Vec<u64> = guard
@@ -660,7 +757,7 @@ impl PlanCache {
                 .collect();
             for fingerprint in moving {
                 let entry = guard.map.remove(&fingerprint).expect("listed under this lock");
-                entries.push(SnapshotEntry {
+                exported.push(Resident {
                     fingerprint,
                     cost: entry.cost,
                     canonical_plan: entry.canonical_plan,
@@ -673,18 +770,34 @@ impl PlanCache {
         // An alias fingerprint that collides with a resident *primary*
         // entry is someone else's logical plan and is left alone.
         if self.config.probes == 2 {
-            for exported in &entries {
-                let Ok(instance) = parse_instance(&exported.instance) else { continue };
-                let shifted =
-                    CanonicalKey::with_phase(&instance, &self.config.quantization, PROBE_PHASE);
-                let shard = self.shard(shifted.fingerprint());
-                let mut guard = lock(shard);
+            for entry in &exported {
+                let shifted = CanonicalKey::with_phase(
+                    &entry.instance,
+                    &self.config.quantization,
+                    PROBE_PHASE,
+                );
+                let mut guard = lock(self.shard(shifted.fingerprint()));
                 if guard.map.get(&shifted.fingerprint()).is_some_and(|entry| !entry.primary) {
                     guard.map.remove(&shifted.fingerprint());
                 }
             }
         }
-        entries.sort_by_key(|e| e.fingerprint);
+        self.render(exported)
+    }
+
+    /// Renders resident entries, outside every shard lock, into a
+    /// snapshot ordered by fingerprint.
+    fn render(&self, mut resident: Vec<Resident>) -> PlanSnapshot {
+        resident.sort_by_key(|entry| entry.fingerprint);
+        let entries = resident
+            .into_iter()
+            .map(|entry| SnapshotEntry {
+                fingerprint: entry.fingerprint,
+                cost: entry.cost,
+                canonical_plan: entry.canonical_plan,
+                instance: format_instance(&entry.instance),
+            })
+            .collect();
         PlanSnapshot::new(&self.config.quantization, entries)
     }
 
@@ -714,7 +827,7 @@ impl PlanCache {
                 cache: self.config.quantization.resolution,
             });
         }
-        let mut verified: Vec<(QueryInstance, CanonicalKey, Plan, f64)> = Vec::new();
+        let mut verified: Vec<(Arc<QueryInstance>, CanonicalKey, Plan, f64)> = Vec::new();
         for (index, entry) in snapshot.entries.iter().enumerate() {
             let invalid = |reason: String| RestoreError::InvalidEntry { index, reason };
             let instance = parse_instance(&entry.instance)
@@ -729,7 +842,7 @@ impl PlanCache {
             if !entry.cost.is_finite() {
                 return Err(invalid("non-finite cost".into()));
             }
-            verified.push((instance, key, plan, entry.cost));
+            verified.push((Arc::new(instance), key, plan, entry.cost));
         }
 
         let capacity = self.config.capacity_per_shard;
@@ -737,7 +850,7 @@ impl PlanCache {
             let pending = PendingEntry {
                 canonical_plan: key.plan_to_canonical(plan),
                 cost: *cost,
-                instance: format_instance(instance),
+                instance: Arc::clone(instance),
                 primary: true,
                 exact: true,
             };
@@ -756,7 +869,7 @@ impl PlanCache {
                 let alias = PendingEntry {
                     canonical_plan: shifted.plan_to_canonical(plan),
                     cost: *cost,
-                    instance: format_instance(instance),
+                    instance: Arc::clone(instance),
                     primary: false,
                     exact: true,
                 };
@@ -1069,9 +1182,54 @@ mod tests {
                 });
             }
         });
+        // Single-flight: one cold search per instance, whatever the
+        // interleaving; every other request hits.
         let stats = cache.stats();
         assert_eq!(stats.requests(), 32);
-        assert!(stats.hits > 0, "later threads must hit");
+        assert_eq!((stats.misses, stats.hits, stats.warm_starts), (4, 28, 0));
+    }
+
+    #[test]
+    fn concurrent_identical_misses_run_one_search() {
+        let cache = PlanCache::new(CacheConfig { probes: 2, ..CacheConfig::default() });
+        let inst = dsq_workloads::generate(dsq_workloads::Family::BtspHard, 11, 3);
+        let threads = 6;
+        let barrier = std::sync::Barrier::new(threads);
+        let served: Vec<ServedPlan> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.serve(&inst, &BnbConfig::paper())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("serve does not panic")).collect()
+        });
+        let cold: Vec<&ServedPlan> =
+            served.iter().filter(|s| s.source == ServeSource::Cold).collect();
+        assert_eq!(cold.len(), 1, "exactly one request searches");
+        for s in &served {
+            assert_eq!(s.plan, cold[0].plan);
+            assert_eq!(s.cost.to_bits(), cold[0].cost.to_bits());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.warm_starts), (1, 5, 0));
+        assert!(cache.shards.iter().all(|shard| lock(shard).flights.is_empty()), "flights end");
+    }
+
+    #[test]
+    fn zero_capacity_concurrent_misses_each_search() {
+        let cache = PlanCache::new(CacheConfig { capacity_per_shard: 0, ..CacheConfig::default() });
+        let inst = instance(8, 7);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    assert_eq!(cache.serve(&inst, &BnbConfig::paper()).source, ServeSource::Cold);
+                });
+            }
+        });
+        assert_eq!(cache.stats().misses, 4, "nothing is kept for a follower to hit");
     }
 
     #[test]
@@ -1165,6 +1323,35 @@ mod tests {
         let from_text = PlanCache::new(CacheConfig::default());
         assert_eq!(from_text.restore_from_text(&text).expect("parses and restores"), 4);
         assert_eq!(from_text.snapshot().to_text(), text, "snapshot of a restore is identical");
+    }
+
+    /// Entries hold the instance, not its text: a snapshot renders each
+    /// entry as `format_instance` of the instance that was served, and a
+    /// restore of that snapshot snapshots back to the same bytes.
+    #[test]
+    fn snapshot_renders_the_served_instances_and_restores_byte_identically() {
+        for probes in [1, 2] {
+            let config = CacheConfig { probes, ..CacheConfig::default() };
+            let cache = PlanCache::new(config.clone());
+            let instances: Vec<QueryInstance> = (0..5).map(|s| instance(60 + s, 6)).collect();
+            let mut texts: Vec<(u64, String)> = instances
+                .iter()
+                .map(|inst| {
+                    let served = cache.serve(inst, &BnbConfig::paper());
+                    (served.fingerprint, format_instance(inst))
+                })
+                .collect();
+            texts.sort();
+            let snapshot = cache.snapshot();
+            let rendered: Vec<(u64, String)> =
+                snapshot.entries.iter().map(|e| (e.fingerprint, e.instance.clone())).collect();
+            assert_eq!(rendered, texts, "probes = {probes}");
+
+            let text = snapshot.to_text();
+            let restored = PlanCache::new(config);
+            restored.restore_from_text(&text).expect("restores");
+            assert_eq!(restored.snapshot().to_text(), text, "probes = {probes}");
+        }
     }
 
     #[test]
