@@ -129,9 +129,11 @@ fn histogram_stat(exposition: &str, name: &str) -> (u64, u64) {
 /// E18b: the stage accounting claim. Drive a warm serve loop measuring
 /// RTT client-side, read the server's stage histograms back over the
 /// `metrics` verb, and check the decomposition: the four stages nest
-/// inside every request's RTT (so their mean sum cannot exceed the mean
-/// RTT), and the unaccounted remainder — wire transfer plus reactor
-/// wakeup — stays within a bounded slack.
+/// inside every request's RTT (so their per-request mean sum cannot
+/// exceed the mean RTT), and the unaccounted remainder — wire transfer
+/// plus reactor wakeup — stays within a bounded slack. Hits are
+/// answered on the reactor, so only the warm-up misses wait in the
+/// queue; the hits add zero queue wait to the per-request means.
 fn stage_accounting(ctx: &ExperimentContext) -> Table {
     let n: usize = ctx.size(7, 6);
     let rounds: usize = ctx.size(40, 15);
@@ -163,17 +165,20 @@ fn stage_accounting(ctx: &ExperimentContext) -> Table {
     }
     let exposition = client.metrics().expect("metrics verb");
 
-    let total = measured + keys.len() as u64; // warmup requests recorded too
+    let misses = keys.len() as u64;
+    let total = measured + misses; // warmup requests recorded too
     let mut stage_mean_sum = 0.0f64;
     let mut table = Table::new(
         format!("E18b: per-stage decomposition of {measured} cache-hit RTTs, n = {n}"),
         ["stage", "count", "mean us", "share of RTT"],
     );
     let rtt_mean = rtt_total.as_secs_f64() * 1e9 / measured as f64;
-    for stage in ["parse_ns", "queue_wait_ns", "plan_ns", "flush_ns"] {
+    for (stage, passed) in
+        [("parse_ns", total), ("queue_wait_ns", misses), ("plan_ns", total), ("flush_ns", total)]
+    {
         let (count, sum) = histogram_stat(&exposition, &format!("server.stage.{stage}"));
-        assert_eq!(count, total, "every request must record every stage exactly once");
-        let mean = sum as f64 / count as f64;
+        assert_eq!(count, passed, "every request must record each stage it passes exactly once");
+        let mean = sum as f64 / total as f64;
         stage_mean_sum += mean;
         table.push_row([
             stage.to_string(),
@@ -208,7 +213,7 @@ fn stage_accounting(ctx: &ExperimentContext) -> Table {
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 0);
     table.push_note(format!(
-        "asserted: each stage recorded exactly once per request, stage means sum to {:.1}us against a {:.1}us mean RTT — inside the nesting bound and covering it within max(50% of RTT, 5ms) wire-and-wakeup slack",
+        "asserted: each stage recorded exactly once per request that passes it (queue wait: the {misses} warm-up misses only; hits are answered on the reactor), per-request stage means sum to {:.1}us against a {:.1}us mean RTT — inside the nesting bound and covering it within max(50% of RTT, 5ms) wire-and-wakeup slack",
         stage_mean_sum / 1e3,
         rtt_mean / 1e3,
     ));

@@ -7,28 +7,41 @@
 //!                        ┌────────────── reactor thread ──────────────┐
 //!  clients ──connect──▶  │ epoll: listener + every connection socket  │
 //!                        │  · accept, per-connection read/write bufs  │
-//!                        │  · parse frames, admit jobs (try_send) ────┼──▶ bounded queue
+//!                        │  · parse, canonical key, probe + validate  │
+//!                        │      hit: answer in the request's slot     │
+//!                        │      else: admit the pending serve ────────┼──▶ bounded queue
 //!                        │  · order replies, coalesce + flush writes  │      │
 //!                        │  ◀──── waker pipe ◀── completions ◀────────┼── worker pool
 //!                        └────────────────────────────────────────────┘
 //! ```
+//!
+//! Validated exact-tier cache hits are answered on this thread, at
+//! admission: parse → canonical key → probe + validate → render into
+//! the request's slot, with no thread hop, futex wake or waker-pipe
+//! write. Misses, stale entries and hits on heuristic-tier entries go
+//! to the worker pool carrying what the probe computed (the keys and
+//! what it found), so the worker resumes the serve instead of starting
+//! over.
 //!
 //! Because admission happens inline on the reactor (not per-connection
 //! threads racing a shared counter), the `outstanding` gauge is
 //! incremented *before* `try_send` and rolled back on the
 //! `Full`/`Disconnected` paths, while the worker decrements only after
 //! planning — increment always precedes decrement, so the counter can
-//! no longer underflow and pin `busy` hints at the 16× cap.
+//! no longer underflow and pin `busy` hints at the 16× cap. Hits
+//! answered on the reactor never touch it.
 //!
 //! **Pipelining.** Each connection keeps an ordered queue of response
 //! slots, one per request in arrival order. Immediate verbs (`ping`,
-//! `stats`, exports…) fill their slot inline; optimize jobs fill theirs
-//! when the worker's completion comes back over the waker pipe. Only
-//! the contiguous answered prefix is moved to the write buffer, so a
-//! client may send N instance documents before reading N responses and
-//! always receives them in request order. Responses that become ready
-//! together are flushed with one `write` call — the frame/syscall
-//! amortization the pipelined wire grammar exists for.
+//! `stats`, exports…) and validated hits fill their slot inline; queued
+//! optimize jobs fill theirs when the worker's completion comes back
+//! over the waker pipe, so a hit pipelined behind a miss waits in its
+//! slot, not in the queue. Only the contiguous answered prefix is moved
+//! to the write buffer, so a client may send N instance documents
+//! before reading N responses and always receives them in request
+//! order. Responses that become ready together are flushed with one
+//! `write` call — the frame/syscall amortization the pipelined wire
+//! grammar exists for.
 //!
 //! Per-connection panics are caught ([`std::panic::catch_unwind`]), and
 //! counted in `ServerStats::connection_panics` with one stderr line
@@ -40,7 +53,7 @@ use crate::protocol::{
 };
 use crate::server::{load_aware_retry_ms, Completion, Inner, Job, MAX_REQUEST_BYTES};
 use dsq_core::{parse_instance, PlanSnapshot};
-use dsq_service::{FleetConfig, HashRing};
+use dsq_service::{FleetConfig, HashRing, Probe, ServedPlan};
 use dsq_telemetry::{log::Level, log_event, Stopwatch};
 use reactor::{Events, Interest, Poll, Token};
 use std::collections::{HashMap, VecDeque};
@@ -72,8 +85,8 @@ const WRITE_HIGH_WATER: usize = 1 << 20;
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// One response slot in a connection's pipeline: filled inline for
-/// immediate verbs, filled by a worker completion (matched on `seq`)
-/// for admitted optimize jobs. `rollback` carries the cache entries an
+/// immediate verbs and validated hits, filled by a worker completion
+/// (matched on `seq`) for queued optimize jobs. `rollback` carries the cache entries an
 /// export removed, restored if the connection dies before the payload
 /// is fully flushed.
 struct Slot {
@@ -108,7 +121,7 @@ struct Conn {
     /// order, and responses are released strictly in that order.
     next_seq: u64,
     pending: VecDeque<Slot>,
-    /// Admitted optimize jobs not yet completed — the per-connection
+    /// Queued optimize jobs not yet completed — the per-connection
     /// pipelining depth, capped at `ServerConfig::max_pipeline`.
     jobs_in_flight: usize,
     write_buf: Vec<u8>,
@@ -139,6 +152,16 @@ fn render(response: &Response) -> Vec<u8> {
     let mut line = response.to_line().into_bytes();
     line.push(b'\n');
     line
+}
+
+fn served(plan: &ServedPlan) -> Response {
+    Response::Served {
+        source: plan.source,
+        cost: plan.cost,
+        fingerprint: plan.fingerprint,
+        plan: plan.plan.indices(),
+        tier: plan.tier,
+    }
 }
 
 impl Conn {
@@ -301,8 +324,10 @@ impl Conn {
         }
     }
 
-    /// Parses a complete instance document and admits it to the worker
-    /// queue (or answers `busy`/`error` inline).
+    /// Parses a complete instance document and probes the cache: a
+    /// validated exact-tier hit is answered right here; anything else is
+    /// admitted to the worker queue with its pending serve (or answered
+    /// `busy`/`error` inline).
     fn admit(&mut self, document: &[u8], inner: &Inner, job_tx: &SyncSender<Job>) {
         let protocol_error = |conn: &mut Conn, message: String| {
             inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -317,19 +342,34 @@ impl Conn {
             Err(e) => return protocol_error(self, format!("cannot parse instance: {e}")),
         };
         parse_timer.observe(&inner.metrics.parse_ns);
+        let plan_timer = Stopwatch::start();
+        let pending = match inner.cache.probe(&instance) {
+            Probe::Hit(hit) => {
+                plan_timer.observe(&inner.metrics.plan_ns);
+                self.push_ready(&served(&hit));
+                self.count_admission(inner);
+                return;
+            }
+            Probe::Pending(pending) => pending,
+        };
+        let probe_ns = plan_timer.elapsed_nanos();
         // Increment *before* `try_send`: a worker that finishes the job
         // fast always observes the increment first, so the gauge cannot
         // underflow; the `Full`/`Disconnected` paths roll it back.
         inner.outstanding.fetch_add(1, Ordering::Relaxed);
-        let seq = self.next_seq;
-        let job = Job { instance, conn: self.token as u64, seq, admitted_at: Stopwatch::start() };
+        let job = Job {
+            instance,
+            pending,
+            probe_ns,
+            conn: self.token as u64,
+            seq: self.next_seq,
+            admitted_at: Stopwatch::start(),
+        };
         match job_tx.try_send(job) {
             Ok(()) => {
-                inner.admitted.fetch_add(1, Ordering::Relaxed);
                 self.jobs_in_flight += 1;
                 self.push_slot(None, None);
-                inner.pipeline_peak.fetch_max(self.pending.len() as u64, Ordering::Relaxed);
-                inner.metrics.pipeline_depth.record(self.pending.len() as u64);
+                self.count_admission(inner);
             }
             Err(TrySendError::Full(_)) => {
                 inner.outstanding.fetch_sub(1, Ordering::Relaxed);
@@ -347,6 +387,14 @@ impl Conn {
                 self.close_after_flush = true;
             }
         }
+    }
+
+    /// Counts an admitted optimize request, answered inline or queued,
+    /// and the pipeline depth its slot reached.
+    fn count_admission(&self, inner: &Inner) {
+        inner.admitted.fetch_add(1, Ordering::Relaxed);
+        inner.pipeline_peak.fetch_max(self.pending.len() as u64, Ordering::Relaxed);
+        inner.metrics.pipeline_depth.record(self.pending.len() as u64);
     }
 
     /// Serves one `export-partition` line: validates the requested
@@ -410,16 +458,9 @@ impl Conn {
     fn complete(&mut self, completion: Completion, inner: &Inner) {
         self.jobs_in_flight = self.jobs_in_flight.saturating_sub(1);
         let response = match completion.result {
-            Ok(served) => Response::Served {
-                source: served.source,
-                cost: served.cost,
-                fingerprint: served.fingerprint,
-                plan: served.plan.indices(),
-                tier: served.tier,
-            },
-            // A planner failure (unreachable for the local cached
-            // planner) degrades to a protocol error, exactly like the
-            // old per-connection reply path.
+            Ok(plan) => served(&plan),
+            // A resume that panicked on its worker degrades to a
+            // protocol error.
             Err(e) => {
                 inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 Response::Error { message: e.to_string() }

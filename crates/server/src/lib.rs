@@ -15,7 +15,8 @@
 //! * **An event-driven core with pipelining** ([`Server`]): one reactor
 //!   thread owns every connection socket through a vendored epoll poller
 //!   (`vendor/reactor`), so thousands of idle connections cost no
-//!   threads; the worker pool drains a bounded admission queue and hands
+//!   threads. The reactor answers validated cache hits itself; the
+//!   worker pool drains a bounded admission queue of misses and hands
 //!   completions back over a wakeup pipe. A connection may pipeline up
 //!   to `max_pipeline` requests without reading responses — answers come
 //!   back in request order — and a request arriving while the queue is
@@ -31,9 +32,10 @@
 //!   [`SnapshotLock`] PID file, so two live servers cannot
 //!   last-writer-wins each other's snapshots.
 //!
-//! The serve path itself is the `dsq_service::Planner` seam: each worker
-//! fronts the shared cache through a `CachedPlanner`, and the crate adds
-//! the client-side counterpart — [`RemotePlanner`], a `Planner` that
+//! The serve path itself is the cache's `dsq_service::PlanCache::probe`
+//! on the reactor and `resume` on a worker — the same semantics a
+//! `CachedPlanner` (or, with `tiered`, a `TieredPlanner`) serves in
+//! process — and the crate adds the client-side counterpart — [`RemotePlanner`], a `Planner` that
 //! speaks this protocol with busy retry/backoff ([`RetryPolicy`],
 //! seeded from the server's **load-aware** `retry-after-ms` hints; see
 //! [`load_aware_retry_ms`]) and typed errors, so a

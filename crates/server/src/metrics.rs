@@ -6,14 +6,20 @@
 //! co-located daemons (and every test that runs several in-process
 //! servers) must never mix latency streams.
 //!
-//! The request path is split into four measured stages; their means sum
-//! to the client-observed round trip (minus wire time), which the
-//! harness asserts end to end:
+//! The request path is split into four measured stages; their
+//! per-request means sum to the client-observed round trip (minus wire
+//! time), which the harness asserts end to end. A validated hit is
+//! answered on the reactor and never queues:
 //!
 //! ```text
-//! client ──▶ parse ──▶ [admission queue] ──▶ plan ──▶ flush ──▶ client
-//!            parse_ns   queue_wait_ns        plan_ns   flush_ns
+//! hit:  client ──▶ parse ──▶ probe ─────────────────────────────▶ flush ──▶ client
+//! miss: client ──▶ parse ──▶ probe ──▶ [admission queue] ──▶ resume ──▶ flush ──▶ client
+//!                  parse_ns  plan_ns    queue_wait_ns        plan_ns   flush_ns
 //! ```
+//!
+//! `queue_wait`: queued requests only; hits skip it. `plan` records one
+//! sample per request: the reactor's probe, plus the worker's resume
+//! for a queued one.
 
 use crate::server::ServerStats;
 use dsq_telemetry::{render_exposition, Histogram};
@@ -24,9 +30,10 @@ use dsq_telemetry::{render_exposition, Histogram};
 pub(crate) struct ServerMetrics {
     /// `parse_instance` on the reactor thread, per admitted document.
     pub(crate) parse_ns: Histogram,
-    /// Admission (`try_send`) to worker dequeue.
+    /// Admission (`try_send`) to worker dequeue; queued requests only.
     pub(crate) queue_wait_ns: Histogram,
-    /// The planner call inside the worker (cache lookup or search).
+    /// Cache probe + validate on the reactor, plus the worker's resume
+    /// (hit count or search) for a queued request.
     pub(crate) plan_ns: Histogram,
     /// Response ready (slot filled) to its bytes fully on the socket.
     pub(crate) flush_ns: Histogram,

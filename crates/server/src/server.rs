@@ -9,7 +9,7 @@ use crate::net::{FaultProfile, ListenAddr, Listener};
 use crate::protocol::StatsLine;
 use dsq_core::{BnbConfig, QueryInstance};
 use dsq_service::{
-    CacheConfig, CacheStats, CachedPlanner, PlanCache, PlanError, Planner, ServedPlan,
+    CacheConfig, CacheStats, PendingServe, PlanCache, PlanError, Planner, ServedPlan,
     TieredPlanner, TieredStats,
 };
 use dsq_telemetry::Stopwatch;
@@ -42,12 +42,13 @@ const DEFAULT_MAX_PIPELINE: usize = 64;
 /// Configuration of a [`Server`]. Passive struct; fields are public.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads draining the admission queue.
+    /// Worker threads draining the admission queue. Validated cache hits
+    /// are answered on the reactor thread and never reach a worker.
     pub workers: NonZeroUsize,
-    /// Bound of the admission queue: requests waiting for a worker.
-    /// A request arriving while the queue is full is answered `busy`
-    /// immediately instead of being buffered (so total in-flight work is
-    /// bounded by `queue_capacity + workers`).
+    /// Bound of the admission queue: misses waiting for a worker. A miss
+    /// arriving while the queue is full is answered `busy` immediately
+    /// instead of being buffered (so total in-flight work is bounded by
+    /// `queue_capacity + workers`).
     pub queue_capacity: usize,
     /// **Base** backoff hint attached to `busy` responses, in
     /// milliseconds; the wire hint is load-aware — scaled by how much
@@ -129,7 +130,8 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
-    /// Requests admitted to the queue.
+    /// Optimize requests admitted: validated hits answered on the
+    /// reactor plus requests sent to the worker queue.
     pub admitted: u64,
     /// Requests rejected with `busy` by admission control.
     pub busy_rejections: u64,
@@ -279,10 +281,16 @@ pub fn load_aware_retry_ms(base_ms: u64, outstanding: usize, queue_capacity: usi
     scaled.clamp(base_ms, base_ms.saturating_mul(16))
 }
 
-/// One admitted unit of work: the parsed instance plus the connection
-/// token and per-connection sequence its completion is routed back by.
+/// One queued unit of work: the parsed instance, the serve its reactor
+/// probe left pending (keys and what the probe found, so the worker
+/// resumes instead of starting over), and the connection token and
+/// per-connection sequence its completion is routed back by.
 pub(crate) struct Job {
     pub(crate) instance: QueryInstance,
+    pub(crate) pending: PendingServe,
+    /// The reactor's probe time; the worker adds its own to record the
+    /// request's one plan-stage sample.
+    pub(crate) probe_ns: u64,
     pub(crate) conn: u64,
     pub(crate) seq: u64,
     /// Started at admission; read at worker dequeue — the queue-wait
@@ -292,9 +300,8 @@ pub(crate) struct Job {
 
 /// A finished job on its way back from a worker to the reactor (over
 /// [`Inner::completions`] + the waker pipe). The result is a [`Result`]
-/// so a planner failure (impossible for the local cached planner, but
-/// the seam is honest) degrades to a protocol `error` instead of a
-/// hang.
+/// so a resume that panicked degrades to a protocol `error` instead of
+/// a hang.
 pub(crate) struct Completion {
     pub(crate) conn: u64,
     pub(crate) seq: u64,
@@ -318,11 +325,12 @@ pub(crate) struct Inner {
     /// the reactor and workers, scraped by the `metrics` verb. Private
     /// per server so co-located daemons never mix latency streams.
     pub(crate) metrics: ServerMetrics,
-    /// Admitted jobs not yet completed (queued + executing) — what the
-    /// load-aware `busy` hint scales with. The reactor increments
-    /// *before* admission `try_send` (rolling back on the
-    /// `Full`/`Disconnected` paths) and the worker decrements after
-    /// planning, so the increment always precedes the decrement.
+    /// Queued jobs not yet completed (queued + executing; hits answered
+    /// on the reactor never count) — what the load-aware `busy` hint
+    /// scales with. The reactor increments *before* admission
+    /// `try_send` (rolling back on the `Full`/`Disconnected` paths) and
+    /// the worker decrements after planning, so the increment always
+    /// precedes the decrement.
     pub(crate) outstanding: AtomicUsize,
     pub(crate) poll_interval: Duration,
     /// Fault-injection profile wrapped around every accepted
@@ -634,10 +642,6 @@ impl ShutdownHandle {
 }
 
 fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
-    // Every worker fronts the shared cache through the same Planner
-    // seam batch serving and the CLI use; the daemon adds admission and
-    // transport around it, not its own serve logic.
-    let planner = CachedPlanner::new(&inner.cache, inner.bnb.clone());
     loop {
         // Holding the lock while blocked is fine: a worker that receives
         // a job releases it before optimizing, so pickup is serialized
@@ -648,21 +652,20 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
         };
         job.admitted_at.observe(&inner.metrics.queue_wait_ns);
         let plan_timer = Stopwatch::start();
-        // A panicking planner must not wedge the job's connection (the
-        // reactor waits for a completion that would otherwise never
+        let Job { instance, pending, probe_ns, conn, seq, .. } = job;
+        // Resume the serve the reactor's probe began, through the same
+        // cache semantics `PlanCache::serve` and `TieredPlanner::plan`
+        // have. A panicking resume must not wedge the job's connection
+        // (the reactor waits for a completion that would otherwise never
         // come) — and must not kill the worker.
         let result = catch_unwind(AssertUnwindSafe(|| match &inner.tiered {
-            Some(tiered) => tiered.plan(&job.instance),
-            None => planner.plan(&job.instance),
+            Some(tiered) => tiered.resume(&instance, pending),
+            None => inner.cache.resume(&instance, pending, &inner.bnb),
         }))
-        .unwrap_or_else(|_| Err(PlanError::Backend("planner worker panicked".into())));
-        plan_timer.observe(&inner.metrics.plan_ns);
+        .map_err(|_| PlanError::Backend("planner worker panicked".into()));
+        inner.metrics.plan_ns.record(probe_ns + plan_timer.elapsed_nanos());
         inner.outstanding.fetch_sub(1, Ordering::Relaxed);
-        inner.completions.lock().expect("completion lock").push(Completion {
-            conn: job.conn,
-            seq: job.seq,
-            result,
-        });
+        inner.completions.lock().expect("completion lock").push(Completion { conn, seq, result });
         inner.waker.wake();
     }
 }

@@ -10,10 +10,12 @@
 //! counters, thread counts, wire bytes, and per-connection read/write
 //! call counts (the syscall proxy).
 
+use dsq_core::{BnbConfig, CanonicalKey, Quantization, QueryInstance};
 use dsq_server::{
     Client, ExportRequest, FaultProfile, ListenAddr, PipelineRequest, Response, Server,
     ServerConfig,
 };
+use dsq_service::{PlanCache, ServeSource};
 use dsq_workloads::{generate, Family};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -105,6 +107,95 @@ fn pipelined_requests_are_answered_in_request_order() {
         stats.pipeline_peak
     );
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// Reads `count` response lines off `reader`, as raw bytes.
+fn read_lines(reader: &mut impl BufRead, count: usize) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for _ in 0..count {
+        let read = reader.read_until(b'\n', &mut bytes).expect("read a response line");
+        assert!(read > 0, "connection closed early");
+    }
+    bytes
+}
+
+/// Validated hits are answered on the reactor at admission: in one
+/// pipelined window `[cold A, hit B, cold C, hit B, ping]` the hits fill
+/// their slots while the misses queued ahead of them are still
+/// searching, and the replies still leave in request order — byte for
+/// byte what the same requests get one at a time. Only the two misses
+/// pass through the admission queue.
+#[test]
+fn inline_hits_behind_misses_keep_request_order() {
+    let a = generate(Family::BtspHard, 12, 1300);
+    let b = generate(Family::Clustered, 7, 1301);
+    let c = generate(Family::BtspHard, 12, 1302);
+    // B is resident before the window (imported, not served), so each
+    // server's counters are exactly the window's.
+    let seeded = PlanCache::new(quick_config().cache);
+    seeded.serve(&b, &BnbConfig::paper());
+    let partition = seeded.snapshot();
+    let document = |instance: &QueryInstance| {
+        let mut doc = dsq_core::format_instance(instance);
+        if !doc.ends_with('\n') {
+            doc.push('\n');
+        }
+        doc + "end\n"
+    };
+    let requests = [document(&a), document(&b), document(&c), document(&b), "ping\n".into()];
+
+    let serve = |pipelined: bool| {
+        let server = Server::start(&tcp(), &quick_config()).expect("start");
+        let mut control = Client::connect(server.listen_addr()).expect("connect");
+        assert_eq!(control.import_partition(&partition).expect("import B"), 1);
+        let mut socket = raw_connect(server.listen_addr());
+        let mut reader = BufReader::new(socket.try_clone().expect("clone socket"));
+        let replies = if pipelined {
+            socket.write_all(requests.concat().as_bytes()).expect("write the window");
+            read_lines(&mut reader, requests.len())
+        } else {
+            let mut replies = Vec::new();
+            for request in &requests {
+                socket.write_all(request.as_bytes()).expect("write one request");
+                replies.extend(read_lines(&mut reader, 1));
+            }
+            replies
+        };
+        let metrics = control.metrics().expect("metrics");
+        for expected in [
+            "histogram server.stage.queue_wait_ns count 2 ",
+            "histogram server.stage.plan_ns count 4 ",
+            "counter server.reactor.outstanding 0\n",
+        ] {
+            assert!(metrics.contains(expected), "pipelined {pipelined}: {expected}\n{metrics}");
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.cache.hits, stats.cache.misses, stats.cache.warm_starts), (2, 2, 0));
+        assert_eq!((stats.admitted, stats.busy_rejections, stats.outstanding), (4, 0, 0));
+        (replies, stats.pipeline_peak)
+    };
+
+    let (pipelined, peak) = serve(true);
+    let text = String::from_utf8(pipelined.clone()).expect("utf-8 replies");
+    let lines: Vec<&str> = text.lines().collect();
+    let quantization = Quantization::default();
+    let expected = [(&a, ServeSource::Cold), (&b, ServeSource::CacheHit), (&c, ServeSource::Cold)];
+    for (i, &(instance, source)) in expected.iter().chain(&expected[1..2]).enumerate() {
+        match Response::parse(lines[i]).expect("a response line") {
+            Response::Served { source: got, fingerprint, .. } => {
+                assert_eq!(got, source, "reply {i}");
+                let key = CanonicalKey::new(instance, &quantization);
+                assert_eq!(fingerprint, key.fingerprint(), "reply {i} out of order");
+            }
+            other => panic!("reply {i}: expected served, got {other:?}"),
+        }
+    }
+    assert_eq!(lines[4], "ok pong");
+    assert_eq!(peak, 4, "all four optimize slots were pending at once");
+
+    let (sequential, peak) = serve(false);
+    assert_eq!(peak, 1);
+    assert_eq!(pipelined, sequential, "pipelining must not change a reply byte");
 }
 
 /// Immediate verbs (`ping`, `stats`) ride the same ordered pipeline as

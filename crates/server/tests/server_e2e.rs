@@ -4,7 +4,8 @@
 
 use dsq_core::{optimize, Plan};
 use dsq_server::{Client, ListenAddr, Response, Server, ServerConfig};
-use dsq_workloads::{generate, Family};
+use dsq_service::{CacheStats, CachedPlanner, PlanCache, Planner};
+use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -112,9 +113,10 @@ fn stats_verb_reports_the_counters() {
 }
 
 /// The `metrics` verb streams the telemetry exposition: stage
-/// histograms carrying one sample per served request and the serving
-/// counters folded in, all through the framed header/trailer grammar
-/// (which [`Client::metrics`] validates line by line).
+/// histograms carrying one sample per request that passed the stage and
+/// the serving counters folded in, all through the framed
+/// header/trailer grammar (which [`Client::metrics`] validates line by
+/// line).
 #[test]
 fn metrics_verb_streams_stage_histograms_and_counters() {
     let server = Server::start(&tcp(), &quick_config()).expect("start");
@@ -124,12 +126,13 @@ fn metrics_verb_streams_stage_histograms_and_counters() {
     client.optimize(&instance).expect("hit");
     let text = client.metrics().expect("metrics");
     assert!(text.starts_with("# dsq-metrics v1\n"), "{text}");
-    // Every measured stage saw both requests by scrape time (the
-    // responses were flushed before the scrape could be admitted).
-    for stage in ["parse_ns", "queue_wait_ns", "plan_ns", "flush_ns"] {
+    // Parse, plan and flush saw both requests by scrape time (the
+    // responses were flushed before the scrape could be admitted); only
+    // the miss waited in the queue — the hit was answered on the reactor.
+    for (stage, count) in [("parse_ns", 2), ("queue_wait_ns", 1), ("plan_ns", 2), ("flush_ns", 2)] {
         assert!(
-            text.contains(&format!("histogram server.stage.{stage} count 2 ")),
-            "{stage} missing both samples:\n{text}"
+            text.contains(&format!("histogram server.stage.{stage} count {count} ")),
+            "{stage} must hold {count} samples:\n{text}"
         );
     }
     assert!(text.contains("histogram server.pipeline.depth count 2 "), "{text}");
@@ -142,6 +145,43 @@ fn metrics_verb_streams_stage_histograms_and_counters() {
     assert!(text.lines().all(|l| !l.is_empty()), "no blank exposition lines:\n{text}");
     assert_eq!(client.ping().expect("still usable"), Response::Pong);
     server.shutdown();
+}
+
+/// Answering hits on the reactor changes no served plan: a sequential
+/// drift stream through a live daemon gets, reply for reply, what the
+/// in-process cached planner serves under the same cache configuration
+/// — same source, cost bits, fingerprint, tier and plan — and both
+/// caches end with identical counters.
+#[test]
+fn daemon_replies_match_the_in_process_cached_planner() {
+    // A 1% validation tolerance (the default is 5%) lets the drift push
+    // some entries out of tolerance, so the stream exercises warm starts
+    // as well as hits and cold misses.
+    let mut config = quick_config();
+    config.cache.validation_tolerance = 0.01;
+    let server = Server::start(&tcp(), &config).expect("start");
+    let mut client = Client::connect(server.listen_addr()).expect("connect");
+    let cache = PlanCache::new(config.cache.clone());
+    let planner = CachedPlanner::new(&cache, config.bnb.clone());
+    let stream = DriftStream::new(DriftConfig::new(Family::Clustered, 12, 15, 2000));
+    for (i, instance) in stream.enumerate() {
+        let expected = planner.plan(&instance).expect("local planners are infallible");
+        match client.optimize(&instance).expect("round trip") {
+            Response::Served { source, cost, fingerprint, plan, tier } => {
+                assert_eq!(source, expected.source, "request {i}");
+                assert_eq!(cost.to_bits(), expected.cost.to_bits(), "request {i}");
+                assert_eq!(fingerprint, expected.fingerprint, "request {i}");
+                assert_eq!(tier, expected.tier, "request {i}");
+                assert_eq!(plan, expected.plan.indices(), "request {i}");
+            }
+            other => panic!("request {i}: expected served, got {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.cache, cache.stats());
+    let CacheStats { hits, warm_starts, misses, .. } = stats.cache;
+    assert_eq!(hits + warm_starts + misses, 2000);
+    assert!(hits > 0 && warm_starts > 0 && misses > 0, "{:?}", stats.cache);
 }
 
 /// The exposition's metric names, in order, are pinned: a renderer

@@ -329,14 +329,38 @@ impl Drop for FlightLead<'_> {
 }
 
 /// What one probe-and-validate pass found for a request.
+#[derive(Debug)]
 enum Lookup {
-    /// A validated hit, ready to return.
-    Hit(ServedPlan),
+    /// A validated hit, not counted yet: [`PlanCache::take_hit`] counts
+    /// it and bumps the recency of the entry under `answered`.
+    Hit { served: ServedPlan, answered: u64, via_probe2: bool },
     /// A fingerprint hit whose plan failed validation: the plan seeds a
     /// warm-started search.
     Stale(Plan),
     /// No usable entry: a cold search (or the tier-1 heuristic).
     Miss,
+}
+
+/// What [`PlanCache::probe`] found for a request.
+#[derive(Debug)]
+pub enum Probe {
+    /// A validated exact-tier hit, already counted: the whole answer.
+    Hit(ServedPlan),
+    /// Everything else — a miss, a stale entry, or a hit on a
+    /// heuristic-tier entry. Finish it with [`PlanCache::resume`] (or
+    /// [`TieredPlanner::resume`](crate::TieredPlanner::resume)) on the
+    /// same cache and the same instance.
+    Pending(PendingServe),
+}
+
+/// A serve that [`PlanCache::probe`] began but could not answer: the
+/// request's canonical key(s) and what the probe found, so the resume
+/// neither derives a key nor probes again. Opaque.
+#[derive(Debug)]
+pub struct PendingServe {
+    key: CanonicalKey,
+    shifted: Option<CanonicalKey>,
+    found: Lookup,
 }
 
 /// Error raised by [`PlanCache::restore`] /
@@ -431,10 +455,18 @@ impl PlanCache {
         &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 
+    /// `instance`'s key on the primary grid (`phase` 0) or the shifted
+    /// probe grid ([`PROBE_PHASE`]).
+    fn key(&self, instance: &QueryInstance, phase: f64) -> CanonicalKey {
+        #[cfg(test)]
+        tests::KEYS_DERIVED.with(|n| n.set(n.get() + 1));
+        CanonicalKey::with_phase(instance, &self.config.quantization, phase)
+    }
+
     /// Clones the transportable pieces of the entry under `key`'s
     /// fingerprint, if present and shaped like this instance. The third
     /// element is the entry's exact flag.
-    fn probe(&self, key: &CanonicalKey) -> Option<(Plan, f64, bool)> {
+    fn entry(&self, key: &CanonicalKey) -> Option<(Plan, f64, bool)> {
         let guard = lock(self.shard(key.fingerprint()));
         guard.map.get(&key.fingerprint()).and_then(|entry| {
             // A malformed transport (fingerprint collision with a
@@ -466,9 +498,7 @@ impl PlanCache {
         };
         lock(self.shard(primary.fingerprint())).insert(primary.fingerprint(), pending, capacity);
         if self.config.probes == 2 {
-            let shifted = shifted.unwrap_or_else(|| {
-                CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE)
-            });
+            let shifted = shifted.unwrap_or_else(|| self.key(instance, PROBE_PHASE));
             let alias = PendingEntry {
                 canonical_plan: shifted.plan_to_canonical(plan),
                 cost,
@@ -494,7 +524,7 @@ impl PlanCache {
     /// start may have superseded the job, and the newer exact plan (for
     /// the drifted instance the warm start saw) must win.
     pub(crate) fn upgrade(&self, instance: &QueryInstance, plan: &Plan, cost: f64) -> bool {
-        let key = CanonicalKey::new(instance, &self.config.quantization);
+        let key = self.key(instance, 0.0);
         {
             let guard = lock(self.shard(key.fingerprint()));
             match guard.map.get(&key.fingerprint()) {
@@ -514,51 +544,90 @@ impl PlanCache {
     /// Serves one instance: validated cache hit, warm-started search, or
     /// cold search (see [`ServeSource`]). Cold and warm searches write
     /// their result back, so subsequent near-identical requests hit.
+    /// Equivalent to [`probe`](Self::probe), then
+    /// [`resume`](Self::resume) when the probe left the serve pending.
     ///
     /// Concurrent callers are safe: the shard lock is **not** held while
     /// optimizing, so long searches never block hits on other keys (or
     /// even on the same shard).
     pub fn serve(&self, instance: &QueryInstance, config: &BnbConfig) -> ServedPlan {
-        self.serve_inner(instance, config, None::<fn(&QueryInstance) -> (Plan, f64)>)
+        match self.probe(instance) {
+            Probe::Hit(served) => served,
+            Probe::Pending(pending) => self.resume(instance, pending, config),
+        }
     }
 
-    /// The tiered serve path: identical to [`serve`](Self::serve) except
+    /// Derives the request's key, probes (both grids with `probes: 2`)
+    /// and validates on the exact instance — the cheap part of a serve,
+    /// which never searches. A validated exact-tier hit is counted and
+    /// returned as [`Probe::Hit`]; anything else comes back as
+    /// [`Probe::Pending`] with nothing counted yet.
+    pub fn probe(&self, instance: &QueryInstance) -> Probe {
+        let key = self.key(instance, 0.0);
+        let mut shifted = None;
+        match self.lookup(instance, &key, &mut shifted) {
+            Lookup::Hit { served, answered, via_probe2 } if served.tier == PlanTier::Exact => {
+                Probe::Hit(self.take_hit(served, answered, via_probe2))
+            }
+            found => Probe::Pending(PendingServe { key, shifted, found }),
+        }
+    }
+
+    /// Finishes a serve [`probe`](Self::probe) left pending, from what
+    /// the probe found: counts a heuristic-tier hit, or runs the exact
+    /// search (warm from a stale entry, cold on a miss) and writes it
+    /// back. `instance` must be the one that was probed.
+    pub fn resume(
+        &self,
+        instance: &QueryInstance,
+        pending: PendingServe,
+        config: &BnbConfig,
+    ) -> ServedPlan {
+        self.serve_inner(instance, pending, config, None::<fn(&QueryInstance) -> (Plan, f64)>)
+    }
+
+    /// The tiered resume: identical to [`resume`](Self::resume) except
     /// that a miss is answered by `heuristic` (which must return a
     /// precedence-feasible plan and its bottleneck cost on `instance`)
     /// instead of a cold exact search, and the entry is written back at
     /// the heuristic tier, awaiting [`upgrade`](Self::upgrade). Hits on
     /// a still-heuristic entry report [`PlanTier::Heuristic`] so the
     /// caller can re-enqueue a refinement that was dropped.
-    pub(crate) fn serve_heuristic(
+    pub(crate) fn resume_heuristic(
         &self,
         instance: &QueryInstance,
+        pending: PendingServe,
         config: &BnbConfig,
         heuristic: impl FnOnce(&QueryInstance) -> (Plan, f64),
     ) -> ServedPlan {
-        self.serve_inner(instance, config, Some(heuristic))
+        self.serve_inner(instance, pending, config, Some(heuristic))
     }
 
     fn serve_inner(
         &self,
         instance: &QueryInstance,
+        pending: PendingServe,
         config: &BnbConfig,
         mut heuristic: Option<impl FnOnce(&QueryInstance) -> (Plan, f64)>,
     ) -> ServedPlan {
-        let key = CanonicalKey::new(instance, &self.config.quantization);
+        let PendingServe { key, mut shifted, found } = pending;
         let fingerprint = key.fingerprint();
-        let mut shifted: Option<CanonicalKey> = None;
+        let mut found = Some(found);
 
-        // Look up; a request that needs an exact search first becomes the
-        // leader of that search for its primary fingerprint, or waits for
-        // the leader already searching and looks up again — concurrent
-        // identical misses pay one search, and the followers hit. A new
-        // leader looks up once more, in case the previous leader finished
-        // between the first lookup and the registration. Hits never touch
-        // the flight registry.
+        // Look up (the first pass is the probe's); a request that needs
+        // an exact search first becomes the leader of that search for its
+        // primary fingerprint, or waits for the leader already searching
+        // and looks up again — concurrent identical misses pay one search,
+        // and the followers hit. A new leader looks up once more, in case
+        // the previous leader finished between the probe and the
+        // registration. Hits never touch the flight registry.
         let mut lead: Option<FlightLead<'_>> = None;
         let seed = loop {
-            let seed = match self.lookup(instance, &key, &mut shifted) {
-                Lookup::Hit(served) => return served,
+            let lookup = found.take().unwrap_or_else(|| self.lookup(instance, &key, &mut shifted));
+            let seed = match lookup {
+                Lookup::Hit { served, answered, via_probe2 } => {
+                    return self.take_hit(served, answered, via_probe2)
+                }
                 Lookup::Stale(plan) => Some(plan),
                 Lookup::Miss => None,
             };
@@ -621,9 +690,9 @@ impl PlanCache {
     }
 
     /// Probes the primary grid, then (with `probes: 2`) the shifted grid,
-    /// and validates a found plan on the exact instance. The hot
-    /// validated-hit path computes a single fingerprint; the shifted one
-    /// is only derived after a primary miss, into `shifted`.
+    /// and validates a found plan on the exact instance; counts nothing.
+    /// The hot validated-hit path computes a single fingerprint; the
+    /// shifted one is only derived after a primary miss, into `shifted`.
     fn lookup(
         &self,
         instance: &QueryInstance,
@@ -631,13 +700,11 @@ impl PlanCache {
         shifted: &mut Option<CanonicalKey>,
     ) -> Lookup {
         let mut answered = key.fingerprint();
-        let mut cached = self.probe(key);
+        let mut cached = self.entry(key);
         let mut via_probe2 = false;
         if cached.is_none() && self.config.probes == 2 {
-            let alias = shifted.get_or_insert_with(|| {
-                CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE)
-            });
-            cached = self.probe(alias);
+            let alias = shifted.get_or_insert_with(|| self.key(instance, PROBE_PHASE));
+            cached = self.entry(alias);
             via_probe2 = cached.is_some();
             answered = alias.fingerprint();
         }
@@ -650,19 +717,9 @@ impl PlanCache {
         if spread > self.config.validation_tolerance * exact.abs().max(cached_cost.abs()) {
             return Lookup::Stale(plan);
         }
-        // Bump the recency of the entry that answered. A probe-2 hit
-        // deliberately does NOT write a fresh primary entry ("healing"): a
-        // walking parameter flips its primary bucket every few requests,
-        // so per-flip inserts would double the write traffic and age the
-        // stable alias — the one slot that keeps answering — out of a
-        // loaded LRU shard.
-        let mut guard = lock(self.shard(answered));
-        guard.hits += 1;
-        guard.probe2_hits += u64::from(via_probe2);
-        guard.touch(answered, self.config.capacity_per_shard);
         let (tier, optimality_gap) =
             if entry_exact { (PlanTier::Exact, Some(0.0)) } else { (PlanTier::Heuristic, None) };
-        Lookup::Hit(ServedPlan {
+        let served = ServedPlan {
             plan,
             cost: exact,
             source: ServeSource::CacheHit,
@@ -670,7 +727,22 @@ impl PlanCache {
             tier,
             optimality_gap,
             search: None,
-        })
+        };
+        Lookup::Hit { served, answered, via_probe2 }
+    }
+
+    /// Counts a validated hit and bumps the recency of the entry that
+    /// answered it. A probe-2 hit deliberately does NOT write a fresh
+    /// primary entry ("healing"): a walking parameter flips its primary
+    /// bucket every few requests, so per-flip inserts would double the
+    /// write traffic and age the stable alias — the one slot that keeps
+    /// answering — out of a loaded LRU shard.
+    fn take_hit(&self, served: ServedPlan, answered: u64, via_probe2: bool) -> ServedPlan {
+        let mut guard = lock(self.shard(answered));
+        guard.hits += 1;
+        guard.probe2_hits += u64::from(via_probe2);
+        guard.touch(answered, self.config.capacity_per_shard);
+        served
     }
 
     /// Registers the caller as the leader of the exact search for
@@ -771,11 +843,7 @@ impl PlanCache {
         // entry is someone else's logical plan and is left alone.
         if self.config.probes == 2 {
             for entry in &exported {
-                let shifted = CanonicalKey::with_phase(
-                    &entry.instance,
-                    &self.config.quantization,
-                    PROBE_PHASE,
-                );
+                let shifted = self.key(&entry.instance, PROBE_PHASE);
                 let mut guard = lock(self.shard(shifted.fingerprint()));
                 if guard.map.get(&shifted.fingerprint()).is_some_and(|entry| !entry.primary) {
                     guard.map.remove(&shifted.fingerprint());
@@ -832,7 +900,7 @@ impl PlanCache {
             let invalid = |reason: String| RestoreError::InvalidEntry { index, reason };
             let instance = parse_instance(&entry.instance)
                 .map_err(|e| invalid(format!("instance does not parse: {e}")))?;
-            let key = CanonicalKey::new(&instance, &self.config.quantization);
+            let key = self.key(&instance, 0.0);
             if key.fingerprint() != entry.fingerprint {
                 return Err(invalid("fingerprint mismatch".into()));
             }
@@ -864,8 +932,7 @@ impl PlanCache {
                 if !lock(self.shard(key.fingerprint())).map.contains_key(&key.fingerprint()) {
                     continue;
                 }
-                let shifted =
-                    CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE);
+                let shifted = self.key(instance, PROBE_PHASE);
                 let alias = PendingEntry {
                     canonical_plan: shifted.plan_to_canonical(plan),
                     cost: *cost,
@@ -909,6 +976,16 @@ mod tests {
     use dsq_core::{optimize, CommMatrix, Service};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Canonical keys this thread's cache calls have derived.
+        pub(super) static KEYS_DERIVED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn keys_derived() -> u64 {
+        KEYS_DERIVED.with(Cell::get)
+    }
 
     fn instance(seed: u64, n: usize) -> QueryInstance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -976,6 +1053,56 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.requests(), 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// A resumed serve continues from its probe: every key a miss or a
+    /// stale entry needs is derived exactly once, on the probing side,
+    /// whatever the probe count.
+    #[test]
+    fn resume_never_rederives_the_probes_keys() {
+        for probes in [1u64, 2] {
+            let config = CacheConfig { probes: probes as usize, ..CacheConfig::default() };
+            let cache = PlanCache::new(config.clone());
+            let inst = instance(70, 6);
+            let before = keys_derived();
+            let Probe::Pending(pending) = cache.probe(&inst) else { panic!("empty cache hit") };
+            assert_eq!(keys_derived() - before, probes, "a miss derives every probed key");
+            let cold = cache.resume(&inst, pending, &BnbConfig::paper());
+            assert_eq!(cold.source, ServeSource::Cold);
+            assert_eq!(keys_derived() - before, probes, "resume and write-back reuse them");
+
+            // A stale entry: the probe stops at the primary grid, and the
+            // write-back derives the shifted key, once.
+            let stale = PlanCache::new(CacheConfig { validation_tolerance: 1e-12, ..config });
+            let base = bucket_centered(3, 7);
+            stale.serve(&base, &BnbConfig::paper());
+            let near = drifted(&base, 1.004);
+            let before = keys_derived();
+            let Probe::Pending(pending) = stale.probe(&near) else { panic!("drift must be stale") };
+            assert_eq!(keys_derived() - before, 1);
+            let warm = stale.resume(&near, pending, &BnbConfig::paper());
+            assert_eq!(warm.source, ServeSource::WarmStart);
+            assert_eq!(keys_derived() - before, probes);
+            let stats = stale.stats();
+            assert_eq!((stats.hits, stats.warm_starts, stats.misses), (0, 1, 1));
+        }
+    }
+
+    /// A validated exact-tier hit is the probe's whole answer, counted
+    /// once; a pending probe counts nothing until it is resumed.
+    #[test]
+    fn probe_counts_hits_and_leaves_pending_serves_uncounted() {
+        let cache = PlanCache::new(CacheConfig::default());
+        let inst = instance(71, 6);
+        let Probe::Pending(pending) = cache.probe(&inst) else { panic!("empty cache hit") };
+        assert_eq!(cache.stats().requests(), 0, "a pending probe counts nothing");
+        let cold = cache.resume(&inst, pending, &BnbConfig::paper());
+        let Probe::Hit(hit) = cache.probe(&inst) else { panic!("the write-back must hit") };
+        assert_eq!((hit.source, hit.tier), (ServeSource::CacheHit, PlanTier::Exact));
+        assert_eq!(hit.plan, cold.plan);
+        assert_eq!(hit.cost.to_bits(), cold.cost.to_bits());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (1, 1, 0));
     }
 
     #[test]

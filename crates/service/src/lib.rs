@@ -82,7 +82,8 @@ mod tiered;
 pub use batch::{optimize_batch, BatchOptions};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{
-    CacheConfig, CacheStats, PlanCache, PlanTier, RestoreError, ServeSource, ServedPlan,
+    CacheConfig, CacheStats, PendingServe, PlanCache, PlanTier, Probe, RestoreError, ServeSource,
+    ServedPlan,
 };
 pub use membership::{FleetConfig, FleetConfigError, FleetMembership, FLEET_CONFIG_HEADER};
 pub use planner::{

@@ -40,7 +40,7 @@
 //! exact, and [`PlanCache::snapshot`] (which skips heuristic-tier
 //! entries) persists the full working set.
 
-use crate::cache::{PlanCache, PlanTier, ServeSource, ServedPlan};
+use crate::cache::{PendingServe, PlanCache, PlanTier, Probe, ServeSource, ServedPlan};
 use crate::planner::{PlanError, Planner, PlannerStats};
 use dsq_baselines::fast_greedy;
 use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Plan, Quantization, QueryInstance};
@@ -254,6 +254,23 @@ impl TieredPlanner {
         self.shared.state.lock().expect("refine state lock").stats
     }
 
+    /// Finishes a serve that [`PlanCache::probe`] on this planner's
+    /// cache left pending: a miss is answered by the greedy heuristic, a
+    /// hit on a still-heuristic entry is counted and served, a stale
+    /// entry warm-starts in line. Every heuristic-tier answer
+    /// (re-)enqueues its refinement. `instance` must be the one probed.
+    pub fn resume(&self, instance: &QueryInstance, pending: PendingServe) -> ServedPlan {
+        let served =
+            self.shared.cache.resume_heuristic(instance, pending, &self.shared.config, |inst| {
+                let greedy = fast_greedy(inst);
+                (greedy.plan().clone(), greedy.cost())
+            });
+        if served.tier == PlanTier::Heuristic {
+            self.enqueue(instance, &served);
+        }
+        served
+    }
+
     fn enqueue(&self, instance: &QueryInstance, served: &ServedPlan) {
         let mut state = self.shared.state.lock().expect("refine state lock");
         state.stats.heuristic_served += 1;
@@ -282,14 +299,10 @@ impl Planner for TieredPlanner {
     }
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let served = self.shared.cache.serve_heuristic(instance, &self.shared.config, |inst| {
-            let greedy = fast_greedy(inst);
-            (greedy.plan().clone(), greedy.cost())
-        });
-        if served.tier == PlanTier::Heuristic {
-            self.enqueue(instance, &served);
-        }
-        Ok(served)
+        Ok(match self.shared.cache.probe(instance) {
+            Probe::Hit(served) => served,
+            Probe::Pending(pending) => self.resume(instance, pending),
+        })
     }
 
     fn stats(&self) -> PlannerStats {
@@ -486,6 +499,44 @@ mod tests {
         assert_eq!(tiered.refine_dropped, 4);
         assert_eq!(tiered.heuristic_served, 4);
         assert_eq!(planner.cache().stats().heuristic_entries, 1);
+    }
+
+    /// A hit on a still-heuristic entry is never the probe's answer (a
+    /// daemon probing on its reactor hands it to a worker): the resume
+    /// counts it once, serves it at tier 1 and re-enqueues its
+    /// refinement.
+    #[test]
+    fn heuristic_tier_hits_resume_once_and_re_enqueue_their_refinement() {
+        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+        // Refinements dropped: the miss leaves a heuristic-tier entry.
+        let stalled = TieredPlanner::with_config(
+            Arc::clone(&cache),
+            BnbConfig::paper(),
+            TieredConfig { queue_capacity: 0, ..TieredConfig::default() },
+        );
+        let inst = instance(3);
+        assert_eq!(stalled.plan(&inst).expect("plans").tier, PlanTier::Heuristic);
+        assert_eq!(stalled.tiered_stats().refine_dropped, 1);
+
+        let planner = TieredPlanner::new(Arc::clone(&cache), BnbConfig::paper());
+        let Probe::Pending(pending) = cache.probe(&inst) else {
+            panic!("a heuristic-tier entry must not be the probe's answer")
+        };
+        assert_eq!(cache.stats().hits, 0, "the probe counts nothing");
+        let served = planner.resume(&inst, pending);
+        assert_eq!((served.source, served.tier), (ServeSource::CacheHit, PlanTier::Heuristic));
+        assert_eq!(cache.stats().hits, 1, "the resume counts the hit once");
+        planner.drain().expect("drain is infallible");
+        let tiered = planner.tiered_stats();
+        assert_eq!((tiered.heuristic_served, tiered.refined, tiered.refine_dropped), (1, 1, 0));
+
+        // Refined: now the probe answers, as an exact-tier hit.
+        let Probe::Hit(hit) = cache.probe(&inst) else { panic!("the refined entry must hit") };
+        assert_eq!(hit.tier, PlanTier::Exact);
+        assert_eq!(hit.cost.to_bits(), optimize(&inst).cost().to_bits());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (2, 1, 0));
+        assert_eq!(planner.tiered_stats().heuristic_served, 1, "exact hits are not tier 1");
     }
 
     #[test]

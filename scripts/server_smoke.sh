@@ -59,6 +59,13 @@ grep -q " hit " "$workdir/served.out"
 "$bin" client --unix "$sock" stats | tee "$workdir/stats.out"
 grep -q "requests 3 hits 2" "$workdir/stats.out"
 grep -q "hit-rate 66.7%" "$workdir/stats.out"
+# Hits are answered on the reactor: all three requests recorded a plan
+# stage, but only the cold one waited in the admission queue.
+"$bin" client --unix "$sock" metrics > "$workdir/metrics.out"
+grep -q "histogram server.stage.queue_wait_ns count 1 " "$workdir/metrics.out" || \
+    { echo "server_smoke: hits went through the admission queue" >&2; cat "$workdir/metrics.out" >&2; exit 1; }
+grep -q "histogram server.stage.plan_ns count 3 " "$workdir/metrics.out" || \
+    { echo "server_smoke: a request recorded no plan stage" >&2; cat "$workdir/metrics.out" >&2; exit 1; }
 
 # ---- pipelined + connection-scale leg --------------------------------
 # Three distinct documents as one coalesced frame: one response line per
