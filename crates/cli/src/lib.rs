@@ -31,8 +31,8 @@ use dsq_core::{
     Quantization, QueryInstance,
 };
 use dsq_server::{
-    hold_connections, Client, ExportRequest, FaultProfile, ListenAddr, LoadgenConfig,
-    PipelineRequest, RemotePlanner, RequestClass, Response, Server, ServerConfig, SnapshotLock,
+    hold_connections, Client, ExportRequest, FaultProfile, ListenAddr, PipelineRequest,
+    RemotePlanner, Response, Server, ServerConfig, SnapshotLock,
 };
 use dsq_service::{
     plan_batch, CacheConfig, CachedPlanner, ColdPlanner, FleetConfig, FleetMembership,
@@ -72,7 +72,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         Some("serve-batch") => serve_batch_cmd(&mut args, out),
         Some("serve") => serve_cmd(&mut args, out),
         Some("client") => client_cmd(&mut args, out),
-        Some("loadgen") => loadgen_cmd(&mut args, out),
         Some("fleet") => fleet_cmd(&mut args, out),
         Some("--help") | Some("-h") | None => {
             writeln!(out, "{USAGE}").map_err(io_err)?;
@@ -101,11 +100,7 @@ const USAGE: &str = "usage:
   dsq client --unix PATH | --tcp ADDR | --fleet ADDRS | --fleet-config FILE
              [--resolution R]  COMMAND
              COMMAND = optimize FILE... [--repeat N] [--pipeline]
-                     | stats | metrics | ping | shutdown | hold N
-  dsq loadgen --unix PATH | --tcp ADDR               open-loop load generator
-              [--rate R] [--requests N] [-n SERVICES] [--seed S]
-              [--classes drift,boundary,pipelined] [--pipeline-depth D]
-              [--json]
+                     | metrics | ping | shutdown | hold N
   dsq fleet rebalance --from ADDRS --to ADDRS [--vnodes V]
 families: uniform-random euclidean clustered hub-spoke correlated proliferative btsp-hard
 configs:  paper incumbent-only no-epsilon-bar no-backjump extended
@@ -126,12 +121,8 @@ document as one coalesced frame and reads the responses back in request
 order (the server admits up to its --max-pipeline per connection); client
 hold N parks N concurrent idle connections on the server's reactor and
 prints a held/dropped accounting line on drain; client metrics dumps the
-server's telemetry in the `# dsq-metrics v1` exposition format;
-loadgen drives open-loop (Poisson-arrival) traffic per request class —
-latency is measured from each request's *scheduled* send time, so a slow
-server cannot hide tail latency by slowing the generator down — and prints
-per-class p50/p99/p999 with a hit/warm/cold/busy breakdown (--json emits
-the dsq-loadgen/v1 document); --tiered
+server's telemetry, every serving counter included, in the
+`# dsq-metrics v1` exposition format; --tiered
 answers cache misses immediately with a greedy plan (`tier heur` on output)
 and refines them to exact in the background, upgrading the cache in place";
 
@@ -936,10 +927,10 @@ fn client_cmd<'a>(
         return Err("client requires --unix PATH or --tcp ADDR".into());
     }
     let command =
-        command.ok_or("client requires a command (optimize|stats|metrics|ping|shutdown|hold)")?;
+        command.ok_or("client requires a command (optimize|metrics|ping|shutdown|hold)")?;
     // Validate the request before dialing, so usage errors do not depend
     // on a live server.
-    if !matches!(command, "optimize" | "stats" | "metrics" | "ping" | "shutdown" | "hold") {
+    if !matches!(command, "optimize" | "metrics" | "ping" | "shutdown" | "hold") {
         return Err(format!("unknown client command `{command}`"));
     }
     if command == "optimize" && files.is_empty() {
@@ -1099,22 +1090,6 @@ fn client_cmd<'a>(
                 .map_err(io_err)?;
             writeln!(out, "{}", report.summary_line()).map_err(io_err)
         }
-        "stats" => match client.stats().map_err(transport)? {
-            Response::Stats(s) => writeln!(
-                out,
-                "requests {} hits {} probe2 {} warm {} cold {} busy {} hit-rate {:.1}% entries {}",
-                s.requests,
-                s.hits,
-                s.probe2_hits,
-                s.warm_starts,
-                s.cold,
-                s.busy_rejections,
-                s.hit_rate * 100.0,
-                s.entries,
-            )
-            .map_err(io_err),
-            other => Err(format!("unexpected response: {other:?}")),
-        },
         "metrics" => {
             let text = client.metrics().map_err(transport)?;
             out.write_all(text.as_bytes()).map_err(io_err)
@@ -1128,83 +1103,6 @@ fn client_cmd<'a>(
             other => Err(format!("unexpected response: {other:?}")),
         },
         _ => unreachable!("command validated above"),
-    }
-}
-
-/// `dsq loadgen`: the open-loop soak generator. One thread, connection,
-/// and Poisson arrival schedule per request class; latency is measured
-/// from each request's scheduled send time, so server slowdowns surface
-/// as tail latency instead of silently throttling the generator
-/// (coordinated omission).
-fn loadgen_cmd<'a>(
-    args: &mut impl Iterator<Item = &'a str>,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let mut addr: Option<ListenAddr> = None;
-    let mut config = LoadgenConfig::default();
-    let mut json = false;
-    while let Some(arg) = args.next() {
-        if let Some(parsed) = parse_addr_flag(arg, args)? {
-            addr = Some(parsed);
-            continue;
-        }
-        match arg {
-            "--json" => json = true,
-            "--rate" => {
-                config.rate = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                    .ok_or("--rate needs a positive requests-per-second number")?
-            }
-            "--requests" => {
-                config.requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or("--requests needs a positive integer")?
-            }
-            "-n" => {
-                config.n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 2)
-                    .ok_or("-n needs an integer >= 2")?
-            }
-            "--seed" => {
-                config.seed =
-                    args.next().and_then(|v| v.parse().ok()).ok_or("--seed needs an integer")?
-            }
-            "--pipeline-depth" => {
-                config.pipeline_depth = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or("--pipeline-depth needs a positive integer")?
-            }
-            "--classes" => {
-                let spec = args.next().ok_or("--classes needs a comma-separated class list")?;
-                config.classes = spec
-                    .split(',')
-                    .map(|token| {
-                        RequestClass::parse(token.trim()).ok_or_else(|| {
-                            format!("unknown request class `{token}` (drift|boundary|pipelined)")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                if config.classes.is_empty() {
-                    return Err("--classes needs at least one class".into());
-                }
-            }
-            other => return Err(format!("unknown loadgen flag `{other}`\n{USAGE}")),
-        }
-    }
-    let addr = addr.ok_or("loadgen requires --unix PATH or --tcp ADDR")?;
-    let report = config.run(&addr).map_err(|e| format!("loadgen failed: {e}"))?;
-    if json {
-        writeln!(out, "{}", report.to_json()).map_err(io_err)
-    } else {
-        writeln!(out, "{}", report.summary()).map_err(io_err)
     }
 }
 
@@ -1318,9 +1216,14 @@ mod tests {
         run(&args, &mut out).expect_err("command fails")
     }
 
+    /// A fresh instance file per call: tests run in parallel and each
+    /// removes its own file when done.
     fn temp_instance() -> (std::path::PathBuf, String) {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let text = run_ok(&["generate", "--family", "clustered", "-n", "5", "--seed", "7"]);
-        let path = std::env::temp_dir().join(format!("dsq-cli-test-{}.dsq", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("dsq-cli-test-{}-{id}.dsq", std::process::id()));
         std::fs::write(&path, &text).expect("write temp instance");
         (path, text)
     }
@@ -1450,10 +1353,10 @@ mod tests {
             run_err(&["serve", "--tcp", "x", "--chaos", "nope"]),
             "--chaos needs a seed (a non-negative integer)"
         );
-        assert_eq!(run_err(&["client", "stats"]), "client requires --unix PATH or --tcp ADDR");
+        assert_eq!(run_err(&["client", "metrics"]), "client requires --unix PATH or --tcp ADDR");
         assert_eq!(
             run_err(&["client", "--unix", "/tmp/x.sock"]),
-            "client requires a command (optimize|stats|metrics|ping|shutdown|hold)"
+            "client requires a command (optimize|metrics|ping|shutdown|hold)"
         );
         assert_eq!(
             run_err(&["client", "--unix", "/tmp/x.sock", "reboot"]),
@@ -1470,24 +1373,6 @@ mod tests {
         assert_eq!(
             run_err(&["client", "--unix", "/tmp/x.sock", "hold", "zero"]),
             "client hold needs a positive connection count"
-        );
-        // loadgen argument errors.
-        assert_eq!(run_err(&["loadgen"]), "loadgen requires --unix PATH or --tcp ADDR");
-        assert_eq!(
-            run_err(&["loadgen", "--tcp", "x", "--rate", "0"]),
-            "--rate needs a positive requests-per-second number"
-        );
-        assert_eq!(
-            run_err(&["loadgen", "--tcp", "x", "--requests", "0"]),
-            "--requests needs a positive integer"
-        );
-        assert_eq!(
-            run_err(&["loadgen", "--tcp", "x", "--classes", "drift,warp"]),
-            "unknown request class `warp` (drift|boundary|pipelined)"
-        );
-        assert_eq!(
-            run_err(&["loadgen", "--tcp", "x", "--pipeline-depth", "0"]),
-            "--pipeline-depth needs a positive integer"
         );
         assert_eq!(
             run_err(&["serve", "--tcp", "x", "--max-pipeline", "0"]),
@@ -1716,8 +1601,8 @@ mod tests {
     fn fleet_flag_errors_are_exact() {
         assert_eq!(run_err(&["client", "--fleet"]), "--fleet needs a comma-separated address list");
         assert_eq!(
-            run_err(&["client", "--fleet", "tcp://x", "stats"]),
-            "--fleet only supports the optimize command, not `stats`"
+            run_err(&["client", "--fleet", "tcp://x", "metrics"]),
+            "--fleet only supports the optimize command, not `metrics`"
         );
         assert_eq!(
             run_err(&["client", "--unix", "/tmp/x.sock", "--fleet", "tcp://x", "optimize", "f"]),
@@ -1725,7 +1610,7 @@ mod tests {
         );
         assert_eq!(
             run_err(&["client", "--fleet", "tcp://x"]),
-            "client requires a command (optimize|stats|metrics|ping|shutdown|hold)"
+            "client requires a command (optimize|metrics|ping|shutdown|hold)"
         );
         assert_eq!(
             run_err(&["client", "--fleet", "tcp://x", "--resolution", "7", "optimize", "f"]),
@@ -1742,8 +1627,8 @@ mod tests {
         // --fleet-config argument errors.
         assert_eq!(run_err(&["client", "--fleet-config"]), "--fleet-config needs a file");
         assert_eq!(
-            run_err(&["client", "--fleet-config", "/tmp/f.cfg", "stats"]),
-            "--fleet-config only supports the optimize command, not `stats`"
+            run_err(&["client", "--fleet-config", "/tmp/f.cfg", "metrics"]),
+            "--fleet-config only supports the optimize command, not `metrics`"
         );
         assert_eq!(
             run_err(&[
@@ -2048,11 +1933,10 @@ mod tests {
     }
 
     /// The observability verbs against a live daemon: `client metrics`
-    /// streams the exposition document, `client hold` prints the
-    /// held/dropped drain accounting, and `loadgen` reports per-class
-    /// tails with zero protocol errors.
+    /// streams the exposition document and `client hold` prints the
+    /// held/dropped drain accounting.
     #[test]
-    fn client_metrics_hold_and_loadgen_against_a_live_daemon() {
+    fn client_metrics_and_hold_against_a_live_daemon() {
         use dsq_server::{Server, ServerConfig};
         let quick = ServerConfig {
             poll_interval: std::time::Duration::from_millis(2),
@@ -2065,42 +1949,10 @@ mod tests {
         assert!(held.contains("held 8 concurrent connections"), "{held}");
         assert!(held.contains("drained 8 held connections: 8 live, 0 dropped"), "{held}");
 
-        let loadgen = run_ok(&[
-            "loadgen",
-            "--tcp",
-            trim_tcp(&addr),
-            "--rate",
-            "2000",
-            "--requests",
-            "25",
-            "-n",
-            "6",
-            "--classes",
-            "drift,pipelined",
-        ]);
-        assert!(loadgen.contains("drift: 25 sent"), "{loadgen}");
-        assert!(loadgen.contains("pipelined: 25 sent"), "{loadgen}");
-        assert!(loadgen.contains("total: 50 requests"), "{loadgen}");
-        assert!(loadgen.contains("(0 protocol errors)"), "{loadgen}");
-        let json = run_ok(&[
-            "loadgen",
-            "--tcp",
-            trim_tcp(&addr),
-            "--rate",
-            "2000",
-            "--requests",
-            "10",
-            "--classes",
-            "boundary",
-            "--json",
-        ]);
-        assert!(json.contains("\"schema\": \"dsq-loadgen/v1\""), "{json}");
-        assert!(json.contains("\"class\": \"boundary\""), "{json}");
-
         let metrics = run_ok(&["client", "--tcp", trim_tcp(&addr), "metrics"]);
         assert!(metrics.starts_with("# dsq-metrics v1\n"), "{metrics}");
         assert!(metrics.contains("histogram server.stage.plan_ns "), "{metrics}");
-        assert!(metrics.contains("counter server.serve.requests "), "{metrics}");
+        assert!(metrics.contains("counter server.serve.requests 0\n"), "{metrics}");
         server.shutdown();
     }
 

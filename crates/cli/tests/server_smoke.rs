@@ -109,10 +109,15 @@ fn serve_and_client_round_trip_with_persistence() {
     let sources: Vec<&str> = out.lines().filter_map(|l| l.split_whitespace().nth(1)).collect();
     assert_eq!(sources, ["cold", "hit", "hit"], "{out}");
 
-    let (ok, out, stderr) = dsq(&["client", "--unix", &sock_arg, "stats"]);
-    assert!(ok, "stats failed: {stderr}");
-    assert!(out.contains("requests 3 hits 2"), "{out}");
-    assert!(out.contains("hit-rate 66.7%"), "{out}");
+    let (ok, out, stderr) = dsq(&["client", "--unix", &sock_arg, "metrics"]);
+    assert!(ok, "metrics failed: {stderr}");
+    for line in [
+        "counter server.serve.requests 3",
+        "counter server.serve.hits 2",
+        "counter server.serve.hit-rate-bp 6667",
+    ] {
+        assert!(out.lines().any(|l| l == line), "missing `{line}` in:\n{out}");
+    }
 
     let (ok, out, _) = dsq(&["client", "--unix", &sock_arg, "shutdown"]);
     assert!(ok);

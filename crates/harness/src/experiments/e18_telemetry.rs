@@ -9,9 +9,10 @@
 
 use crate::runner::{Experiment, ExperimentContext};
 use crate::table::{cell_f64, Table};
-use dsq_server::{Client, ListenAddr, LoadgenConfig, RequestClass, Response, Server, ServerConfig};
+use dsq_server::{Client, ListenAddr, Response, Server, ServerConfig};
+use dsq_service::ServeSource;
 use dsq_telemetry::Histogram;
-use dsq_workloads::{generate, Family};
+use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::num::NonZeroUsize;
@@ -220,6 +221,116 @@ fn stage_accounting(ctx: &ExperimentContext) -> Table {
     table
 }
 
+/// E18c's request classes, each soaked on its own thread, connection
+/// and Poisson schedule: drifting repeats (cache-friendly), a walk
+/// across a quantization bucket edge (cache-adversarial), and the drift
+/// stream sent as pipelined bursts.
+const SOAK_CLASSES: [&str; 3] = ["drift", "boundary", "pipelined"];
+
+/// Requests per pipelined burst.
+const SOAK_BURST: usize = 8;
+
+/// Cumulative Poisson arrival offsets: `requests` exponential
+/// inter-arrival gaps at `rate` per second, deterministic in `seed`.
+fn poisson_offsets(requests: usize, rate: f64, seed: u64) -> Vec<Duration> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut at = 0.0f64;
+    (0..requests)
+        .map(|_| {
+            // Inverse-CDF sampling; 1-u keeps ln away from zero.
+            let u: f64 = rng.gen();
+            at += -(1.0 - u).ln() / rate;
+            Duration::from_secs_f64(at)
+        })
+        .collect()
+}
+
+/// The response breakdown of one soak class.
+#[derive(Debug, Default)]
+struct Tally {
+    sent: u64,
+    hits: u64,
+    warm: u64,
+    cold: u64,
+    busy: u64,
+    errors: u64,
+    /// Replies that are not an answer to an optimize request: a
+    /// desynchronized stream, so anything above zero is a server bug.
+    protocol_errors: u64,
+}
+
+impl Tally {
+    fn observe(&mut self, response: &Response) {
+        self.sent += 1;
+        match response {
+            Response::Served { source: ServeSource::CacheHit, .. } => self.hits += 1,
+            Response::Served { source: ServeSource::WarmStart, .. } => self.warm += 1,
+            Response::Served { source: ServeSource::Cold, .. } => self.cold += 1,
+            Response::Busy { .. } => self.busy += 1,
+            Response::Error { .. } => self.errors += 1,
+            _ => self.protocol_errors += 1,
+        }
+    }
+}
+
+/// Drives soak class `k` against `addr`. Each request is timed from its
+/// scheduled (Poisson) send time, so a stalling server shows up as tail
+/// latency instead of slowing the generator down. A pipelined burst
+/// cannot leave before its last member is due: it goes out at that
+/// member's time, and every member is timed from it. Every pipelined
+/// latency must cover at least the fastest of 50 pings on the same
+/// connection, the regression guard for the burst timing.
+fn soak_class(addr: &ListenAddr, k: usize, requests: usize, rate: f64) -> (Histogram, Tally) {
+    let class = SOAK_CLASSES[k];
+    let seed = 18 ^ (k as u64).rotate_left(29);
+    let offsets = poisson_offsets(requests, rate, seed);
+    let drift = match class {
+        // The resolution matches the server cache's default
+        // quantization, so the walk straddles its grid.
+        "boundary" => DriftConfig::boundary_walk(Family::Clustered, 6, seed, requests, 0.05),
+        _ => DriftConfig::new(Family::Clustered, 6, seed, requests),
+    };
+    let instances: Vec<_> = DriftStream::new(drift).collect();
+    let mut client = Client::connect(addr).expect("connect");
+    let pipelined = class == "pipelined";
+    let floor = pipelined.then(|| {
+        (0..50)
+            .map(|_| {
+                let sent = Instant::now();
+                assert_eq!(client.ping().expect("ping"), Response::Pong);
+                sent.elapsed()
+            })
+            .min()
+            .expect("50 pings")
+    });
+    let burst = if pipelined { SOAK_BURST } else { 1 };
+    let (latency, mut tally) = (Histogram::new(), Tally::default());
+    let epoch = Instant::now();
+    for (members, due) in instances.chunks(burst).zip(offsets.chunks(burst)) {
+        let scheduled = epoch + due[due.len() - 1];
+        if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
+        let responses = if pipelined {
+            client.optimize_pipelined(members).expect("pipelined burst")
+        } else {
+            vec![client.optimize(&members[0]).expect("optimize")]
+        };
+        let elapsed = scheduled.elapsed();
+        if let Some(floor) = floor {
+            assert!(
+                elapsed >= floor,
+                "{class}: a burst latency {elapsed:?} is below the fastest ping {floor:?}"
+            );
+        }
+        for response in &responses {
+            tally.observe(response);
+            latency.record_duration(elapsed);
+        }
+    }
+    (latency, tally)
+}
+
 /// E18c: a short open-loop soak. Poisson arrivals per request class
 /// against a live daemon; the run must complete with zero protocol
 /// errors, a fully accounted breakdown, and p99 under a CI-safe bound.
@@ -229,8 +340,13 @@ fn soak(ctx: &ExperimentContext) -> Table {
     let p99_bound = Duration::from_millis(250);
     let server = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick_server())
         .expect("server starts");
-    let config = LoadgenConfig { rate, requests, n: 6, seed: 18, ..LoadgenConfig::default() };
-    let report = config.run(server.listen_addr()).expect("soak completes");
+    let addr = server.listen_addr();
+    let classes: Vec<(Histogram, Tally)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..SOAK_CLASSES.len())
+            .map(|k| scope.spawn(move || soak_class(addr, k, requests, rate)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("soak class thread")).collect()
+    });
 
     let mut table = Table::new(
         format!(
@@ -238,49 +354,59 @@ fn soak(ctx: &ExperimentContext) -> Table {
         ),
         ["class", "sent", "hit", "warm", "cold", "busy", "p50 us", "p99 us", "p999 us"],
     );
-    for class in &report.classes {
-        assert_eq!(class.sent, requests as u64, "open-loop: every scheduled request is sent");
+    for (class, (latency, tally)) in SOAK_CLASSES.iter().zip(&classes) {
+        let (p50, p99, p999) =
+            (latency.quantile(0.50), latency.quantile(0.99), latency.quantile(0.999));
+        assert_eq!(tally.sent, requests as u64, "open-loop: every scheduled request is sent");
         assert_eq!(
-            class.hits + class.warm + class.cold + class.busy + class.errors,
-            class.sent,
-            "{}: the breakdown must account for every request",
-            class.class
+            tally.hits + tally.warm + tally.cold + tally.busy + tally.errors,
+            tally.sent,
+            "{class}: the breakdown must account for every request"
         );
-        assert_eq!(class.protocol_errors, 0, "{}: zero protocol errors", class.class);
-        assert!(class.p99_ns > 0, "{}: a served class has non-zero p99", class.class);
+        assert_eq!(tally.protocol_errors, 0, "{class}: zero protocol errors");
+        assert!(p99 > 0, "{class}: a served class has non-zero p99");
+        assert!(p50 <= p99 && p99 <= p999, "{class}: quantiles are monotone");
         assert!(
-            class.p50_ns <= class.p99_ns && class.p99_ns <= class.p999_ns,
-            "{}: quantiles are monotone",
-            class.class
-        );
-        assert!(
-            class.p99_ns <= p99_bound.as_nanos() as u64,
-            "{}: p99 {}ns breaches the {:?} soak bound",
-            class.class,
-            class.p99_ns,
-            p99_bound
+            p99 <= p99_bound.as_nanos() as u64,
+            "{class}: p99 {p99}ns breaches the {p99_bound:?} soak bound"
         );
         table.push_row([
-            class.class.to_string(),
-            class.sent.to_string(),
-            class.hits.to_string(),
-            class.warm.to_string(),
-            class.cold.to_string(),
-            class.busy.to_string(),
-            cell_f64(class.p50_ns as f64 / 1e3, 1),
-            cell_f64(class.p99_ns as f64 / 1e3, 1),
-            cell_f64(class.p999_ns as f64 / 1e3, 1),
+            class.to_string(),
+            tally.sent.to_string(),
+            tally.hits.to_string(),
+            tally.warm.to_string(),
+            tally.cold.to_string(),
+            tally.busy.to_string(),
+            cell_f64(p50 as f64 / 1e3, 1),
+            cell_f64(p99 as f64 / 1e3, 1),
+            cell_f64(p999 as f64 / 1e3, 1),
         ]);
     }
-    assert_eq!(report.classes.len(), RequestClass::ALL.len(), "all three classes soaked");
+    assert_eq!(classes.len(), SOAK_CLASSES.len(), "all three classes soaked");
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 0, "the server agrees: nothing malformed on the wire");
     table.push_note(
-        "asserted: every scheduled request sent and accounted for (hit + warm + cold + busy + error = sent), zero protocol errors on both ends, monotone per-class quantiles, and p99 <= 250ms per class; latency is measured from each request's scheduled (Poisson) send time, so server stalls cannot hide in generator back-pressure",
+        "asserted: every scheduled request sent and accounted for (hit + warm + cold + busy + error = sent), zero protocol errors on both ends, monotone per-class quantiles, p99 <= 250ms per class, and every pipelined latency at least the fastest of 50 pings on its connection; latency is measured from each request's scheduled (Poisson) send time, so server stalls cannot hide in generator back-pressure",
     );
     table
 }
 
 fn run(ctx: &ExperimentContext) -> Vec<Table> {
     vec![accuracy(ctx), stage_accounting(ctx), soak(ctx)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poisson_offsets_are_monotonic_near_rate_and_deterministic() {
+        let offsets = poisson_offsets(2_000, 1_000.0, 7);
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets grow monotonically");
+        // Mean inter-arrival of 2000 draws at 1000/s is 1ms ± a wide
+        // tolerance (the variance of an exponential is its mean²).
+        let span = offsets.last().unwrap().as_secs_f64();
+        assert!((1.4..=2.6).contains(&span), "2000 arrivals at 1000/s span ~2s, got {span:.3}s");
+        assert_eq!(offsets, poisson_offsets(2_000, 1_000.0, 7), "deterministic in the seed");
+    }
 }

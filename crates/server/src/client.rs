@@ -86,8 +86,6 @@ pub enum PipelineRequest {
     Optimize(String),
     /// A liveness probe.
     Ping,
-    /// A counters request.
-    Stats,
 }
 
 impl PipelineRequest {
@@ -103,7 +101,6 @@ impl PipelineRequest {
                 out.push('\n');
             }
             PipelineRequest::Ping => out.push_str("ping\n"),
-            PipelineRequest::Stats => out.push_str("stats\n"),
         }
     }
 }
@@ -259,30 +256,6 @@ impl Client {
                 other => return Ok((other, busy_replies)),
             }
         }
-    }
-
-    /// [`optimize_text_with_retry`](Self::optimize_text_with_retry) for
-    /// an in-memory instance — the ROADMAP's client-side retry/backoff
-    /// helper.
-    ///
-    /// # Errors
-    ///
-    /// See [`optimize_text_with_retry`](Self::optimize_text_with_retry).
-    pub fn request_with_retry(
-        &mut self,
-        instance: &QueryInstance,
-        policy: &RetryPolicy,
-    ) -> io::Result<(Response, u32)> {
-        self.optimize_text_with_retry(&format_instance(instance), policy)
-    }
-
-    /// Requests the serving counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`optimize_text`](Self::optimize_text).
-    pub fn stats(&mut self) -> io::Result<Response> {
-        self.round_trip("stats\n")
     }
 
     /// Liveness probe.

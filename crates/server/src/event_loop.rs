@@ -33,7 +33,7 @@
 //!
 //! **Pipelining.** Each connection keeps an ordered queue of response
 //! slots, one per request in arrival order. Immediate verbs (`ping`,
-//! `stats`, exports…) and validated hits fill their slot inline; queued
+//! `metrics`, exports…) and validated hits fill their slot inline; queued
 //! optimize jobs fill theirs when the worker's completion comes back
 //! over the waker pipe, so a hit pipelined behind a miss waits in its
 //! slot, not in the queue. Only the contiguous answered prefix is moved
@@ -261,7 +261,6 @@ impl Conn {
                 match verb {
                     "" => {} // blank keep-alive line
                     "ping" => self.push_ready(&Response::Pong),
-                    "stats" => self.push_ready(&Response::Stats(inner.stats().stats_line())),
                     METRICS_VERB => self.serve_metrics(inner),
                     "shutdown" => {
                         inner.request_shutdown();

@@ -76,7 +76,6 @@
 
 mod client;
 mod event_loop;
-mod loadgen;
 mod lock;
 mod metrics;
 mod net;
@@ -85,9 +84,8 @@ mod remote;
 mod server;
 
 pub use client::{hold_connections, Client, HoldReport, PipelineRequest, RetryPolicy};
-pub use loadgen::{ClassReport, LoadgenConfig, LoadgenReport, RequestClass};
 pub use lock::{lock_path, SnapshotLock};
 pub use net::{FaultProfile, ListenAddr};
-pub use protocol::{ExportRequest, ProtocolError, Response, StatsLine};
+pub use protocol::{ExportRequest, ProtocolError, Response};
 pub use remote::RemotePlanner;
 pub use server::{load_aware_retry_ms, Server, ServerConfig, ServerStats, ShutdownHandle};

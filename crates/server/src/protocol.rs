@@ -4,7 +4,7 @@
 //! an instance document terminated by `end`:
 //!
 //! ```text
-//! request   = instance-doc | "stats" | "ping" | "metrics" | "shutdown"
+//! request   = instance-doc | "ping" | "metrics" | "shutdown"
 //!           | export-line | import-doc
 //! instance-doc = "dsq-instance v1" LF …instance lines… "end" LF
 //! export-line  = "export-partition vnodes " N " keep " N " backends " ADDR ("," ADDR)* LF
@@ -16,8 +16,6 @@
 //! ```text
 //! response  = "ok source " SRC " cost " F64 " fingerprint " HEX16 " plan " I ("," I)*
 //!                 [" tier " TIER]
-//!           | "ok stats requests " N " hits " N " probe2 " N " warm " N " cold " N
-//!                 " busy " N " hit-rate " F64 " entries " N
 //!           | "ok pong"
 //!           | "ok metrics " N            ; N exposition lines stream after this line
 //!           | "ok draining"
@@ -29,7 +27,11 @@
 //! TIER      = "exact" | "heur"
 //! ```
 //!
-//! The `metrics` verb scrapes the server's telemetry. The
+//! Any other single-line verb is answered ``error unknown request `VERB` ``
+//! and counted as a protocol error; the connection stays usable.
+//!
+//! The `metrics` verb scrapes the server's telemetry, every serving
+//! counter included (`counter server.<group>.<token> N`). The
 //! `ok metrics N` header is followed by exactly `N` lines of
 //! `dsq-metrics v1` exposition text (the `# dsq-metrics v1` header line
 //! included in the count) and then the literal trailer `end-metrics`.
@@ -64,9 +66,8 @@
 //! old clients interoperate with non-tiered servers unchanged, and new
 //! clients interoperate with both.
 //!
-//! Costs and rates are Rust `f64` `Display` output, which round-trips
-//! bit-exactly through `parse`; fingerprints are zero-padded lowercase
-//! hex. [`Response::to_line`] and [`Response::parse`] are exact inverses
+//! Costs are Rust `f64` `Display` output, which round-trips bit-exactly
+//! through `parse`; fingerprints are zero-padded lowercase hex. [`Response::to_line`] and [`Response::parse`] are exact inverses
 //! for every value the server emits.
 
 use dsq_service::{PlanTier, ServeSource};
@@ -86,13 +87,6 @@ pub const METRICS_VERB: &str = "metrics";
 /// Trailer closing the exposition document after an `ok metrics N`
 /// response.
 pub const METRICS_END: &str = "end-metrics";
-
-/// The `stats` wire tokens, in wire order — the **single source** for
-/// both [`Response::to_line`] and [`Response::parse`]. PRs 6–8 grew the
-/// render and parse sides as separate hand-written lists; this table is
-/// what keeps a future counter from silently breaking one of them.
-pub const STATS_TOKENS: [&str; 8] =
-    ["requests", "hits", "probe2", "warm", "cold", "busy", "hit-rate", "entries"];
 
 /// A parsed `export-partition` request line: the new fleet layout the
 /// receiving server should keep slot [`keep`](Self::keep) of, handing
@@ -169,44 +163,6 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The serving-counter snapshot reported by the `stats` verb. Passive
-/// struct; fields are public.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StatsLine {
-    /// Requests served through the cache (hits + warm starts + colds).
-    pub requests: u64,
-    /// Validated cache hits.
-    pub hits: u64,
-    /// The subset of hits found by the second (shifted-grid) probe.
-    pub probe2_hits: u64,
-    /// Out-of-tolerance hits that warm-started a search.
-    pub warm_starts: u64,
-    /// Cold optimizations.
-    pub cold: u64,
-    /// Requests rejected by admission control.
-    pub busy_rejections: u64,
-    /// `hits / requests` (0 before any request).
-    pub hit_rate: f64,
-    /// Cache entries currently resident (probe aliases included).
-    pub entries: u64,
-}
-
-impl StatsLine {
-    /// The rendered value for each of [`STATS_TOKENS`], in table order.
-    fn wire_values(&self) -> [String; STATS_TOKENS.len()] {
-        [
-            self.requests.to_string(),
-            self.hits.to_string(),
-            self.probe2_hits.to_string(),
-            self.warm_starts.to_string(),
-            self.cold.to_string(),
-            self.busy_rejections.to_string(),
-            self.hit_rate.to_string(),
-            self.entries.to_string(),
-        ]
-    }
-}
-
 /// One parsed server response. See the [module docs](self) for the
 /// grammar.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,8 +194,6 @@ pub enum Response {
     },
     /// Reply to `ping`.
     Pong,
-    /// Reply to `stats`.
-    Stats(StatsLine),
     /// Reply to `metrics`: this many exposition lines stream after this
     /// line (the `# dsq-metrics v1` header included), followed by the
     /// [`METRICS_END`] trailer.
@@ -305,15 +259,6 @@ impl Response {
                 format!("error {}", message.replace('\n', "; "))
             }
             Response::Pong => "ok pong".into(),
-            Response::Stats(s) => {
-                let values = s.wire_values();
-                let body: Vec<String> = STATS_TOKENS
-                    .iter()
-                    .zip(values.iter())
-                    .map(|(token, value)| format!("{token} {value}"))
-                    .collect();
-                format!("ok stats {}", body.join(" "))
-            }
             Response::Metrics { lines } => format!("ok metrics {lines}"),
             Response::Draining => "ok draining".into(),
             Response::Partition { entries } => format!("ok partition {entries}"),
@@ -385,29 +330,6 @@ impl Response {
             }
             return Ok(Response::Served { source, cost, fingerprint, plan, tier });
         }
-        if let Some(rest) = line.strip_prefix("ok stats ") {
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            if fields.len() != 2 * STATS_TOKENS.len() {
-                return Err(err());
-            }
-            let mut values = [0f64; STATS_TOKENS.len()];
-            for (k, token) in STATS_TOKENS.iter().enumerate() {
-                if fields[2 * k] != *token {
-                    return Err(err());
-                }
-                values[k] = fields[2 * k + 1].parse().map_err(|_| err())?;
-            }
-            return Ok(Response::Stats(StatsLine {
-                requests: values[0] as u64,
-                hits: values[1] as u64,
-                probe2_hits: values[2] as u64,
-                warm_starts: values[3] as u64,
-                cold: values[4] as u64,
-                busy_rejections: values[5] as u64,
-                hit_rate: values[6],
-                entries: values[7] as u64,
-            }));
-        }
         Err(err())
     }
 }
@@ -456,16 +378,6 @@ mod tests {
             Response::PartitionRestored { entries: 17 },
             Response::Metrics { lines: 0 },
             Response::Metrics { lines: 42 },
-            Response::Stats(StatsLine {
-                requests: 240,
-                hits: 232,
-                probe2_hits: 4,
-                warm_starts: 3,
-                cold: 5,
-                busy_rejections: 2,
-                hit_rate: 232.0 / 240.0,
-                entries: 16,
-            }),
         ];
         for response in cases {
             let line = response.to_line();
@@ -526,50 +438,6 @@ mod tests {
             Ok(Response::Served { tier, .. }) => assert_eq!(tier, PlanTier::Exact),
             other => panic!("explicit exact tier must parse: {other:?}"),
         }
-    }
-
-    /// A fresh server (zero requests) reports `hit-rate 0`, never NaN:
-    /// `CacheStats::hit_rate` guards the zero-request division, and this
-    /// pin fails if anyone removes the guard (NaN renders as `NaN` and
-    /// would change the wire line).
-    #[test]
-    fn fresh_server_stats_line_is_pinned_and_nan_free() {
-        let line = Response::Stats(StatsLine::default()).to_line();
-        assert_eq!(
-            line,
-            "ok stats requests 0 hits 0 probe2 0 warm 0 cold 0 busy 0 hit-rate 0 entries 0"
-        );
-        assert!(!line.contains("NaN"), "zero requests must not divide to NaN");
-        assert_eq!(Response::parse(&line).expect("parses"), Response::Stats(StatsLine::default()));
-    }
-
-    /// The exact wire line for a fully populated stats payload is
-    /// pinned byte for byte: both the render and the parse side come
-    /// from [`STATS_TOKENS`], so this test is the tripwire for anyone
-    /// appending a counter to one side only (the drift that accumulated
-    /// over PRs 6–8).
-    #[test]
-    fn populated_stats_line_is_pinned_to_the_token_table() {
-        let stats = StatsLine {
-            requests: 240,
-            hits: 120,
-            probe2_hits: 4,
-            warm_starts: 3,
-            cold: 5,
-            busy_rejections: 2,
-            hit_rate: 0.5,
-            entries: 16,
-        };
-        let line = Response::Stats(stats).to_line();
-        assert_eq!(
-            line,
-            "ok stats requests 240 hits 120 probe2 4 warm 3 cold 5 busy 2 hit-rate 0.5 entries 16"
-        );
-        // Wire order is table order, every token present exactly once.
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let labels: Vec<&str> = fields[2..].iter().step_by(2).copied().collect();
-        assert_eq!(labels, STATS_TOKENS.to_vec());
-        assert_eq!(Response::parse(&line).expect("parses"), Response::Stats(stats));
     }
 
     #[test]
@@ -642,8 +510,7 @@ mod tests {
             "ok source hit cost 1 fingerprint 0 plan 0 tier gold",
             "ok source hit cost 1 fingerprint 0 plan 0 tier heur extra",
             "busy retry-after-ms soon",
-            "ok stats requests 1",
-            "ok stats requests 1 hits 1 probe2 0 warm 0 cold 0 busy 0 hit-rate 1 misc 3",
+            "ok stats requests 1 hits 1 probe2 0 warm 0 cold 0 busy 0 hit-rate 1 entries 1",
         ] {
             assert!(Response::parse(line).is_err(), "{line:?} should not parse");
         }

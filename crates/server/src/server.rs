@@ -6,7 +6,6 @@ use crate::event_loop::{self, TOKEN_WAKER};
 use crate::lock::SnapshotLock;
 use crate::metrics::ServerMetrics;
 use crate::net::{FaultProfile, ListenAddr, Listener};
-use crate::protocol::StatsLine;
 use dsq_core::{BnbConfig, QueryInstance};
 use dsq_service::{
     CacheConfig, CacheStats, PendingServe, PlanCache, PlanError, Planner, ServedPlan,
@@ -215,21 +214,6 @@ impl ServerStats {
             ]);
         }
         table
-    }
-
-    /// The wire-format stats payload (see
-    /// [`protocol`](crate::protocol)).
-    pub fn stats_line(&self) -> StatsLine {
-        StatsLine {
-            requests: self.cache.requests(),
-            hits: self.cache.hits,
-            probe2_hits: self.cache.probe2_hits,
-            warm_starts: self.cache.warm_starts,
-            cold: self.cache.misses,
-            busy_rejections: self.busy_rejections,
-            hit_rate: self.cache.hit_rate(),
-            entries: self.cache.entries as u64,
-        }
     }
 }
 
@@ -718,8 +702,8 @@ mod tests {
     }
 
     /// The Display form is generated from the token table and pinned
-    /// byte for byte — the companion tripwire to the pinned wire line
-    /// in the protocol tests.
+    /// byte for byte. A fresh server's head line reads `0.0%`, never
+    /// `NaN%`: `CacheStats::hit_rate` guards the zero-request division.
     #[test]
     fn display_is_generated_from_the_token_table_and_pinned() {
         let stats = ServerStats {
@@ -760,6 +744,13 @@ mod tests {
             "{text}"
         );
         assert!(!stats.to_string().contains("tiered:"));
+        assert!(
+            ServerStats::default()
+                .to_string()
+                .starts_with("served 0 requests over 0 connections (0.0% hit-rate)\n"),
+            "{}",
+            ServerStats::default()
+        );
     }
 
     /// Every table token is display-safe (no spaces, lowercase) and

@@ -198,7 +198,7 @@ fn inline_hits_behind_misses_keep_request_order() {
     assert_eq!(pipelined, sequential, "pipelining must not change a reply byte");
 }
 
-/// Immediate verbs (`ping`, `stats`) ride the same ordered pipeline as
+/// The immediate `ping` verb rides the same ordered pipeline as
 /// optimize documents: answers interleave exactly where the requests
 /// were.
 #[test]
@@ -209,7 +209,7 @@ fn immediate_verbs_interleave_inside_a_pipeline() {
     let batch = vec![
         PipelineRequest::Ping,
         PipelineRequest::Optimize(doc.clone()),
-        PipelineRequest::Stats,
+        PipelineRequest::Ping,
         PipelineRequest::Optimize(doc),
         PipelineRequest::Ping,
     ];
@@ -217,7 +217,7 @@ fn immediate_verbs_interleave_inside_a_pipeline() {
     assert_eq!(responses.len(), 5);
     assert_eq!(responses[0], Response::Pong);
     assert!(matches!(responses[1], Response::Served { .. }), "slot 1: {:?}", responses[1]);
-    assert!(matches!(responses[2], Response::Stats(_)), "slot 2: {:?}", responses[2]);
+    assert_eq!(responses[2], Response::Pong, "slot 2");
     assert!(matches!(responses[3], Response::Served { .. }), "slot 3: {:?}", responses[3]);
     assert_eq!(responses[4], Response::Pong);
     let stats = server.shutdown();
@@ -304,10 +304,17 @@ fn outstanding_gauge_cannot_underflow() {
     let server = Server::start(&tcp(), &config).expect("start");
 
     // Tiny instances make workers finish as fast as possible — the
-    // widest window for the old increment/decrement race.
-    for round in 0..6 {
-        let instances: Vec<_> =
+    // widest window for the old increment/decrement race. An idle worker
+    // can keep pace with a whole tiny burst, so the last burst leads
+    // with a cold btsp-hard search: it holds the worker while the rest
+    // of the burst overflows the one-slot queue, and the busy path runs
+    // on every run, not only when the worker happens to lag.
+    for round in 0..7 {
+        let mut instances: Vec<_> =
             (0..8).map(|s| generate(Family::Euclidean, 5, 1000 + round * 8 + s)).collect();
+        if round == 6 {
+            instances[0] = generate(Family::BtspHard, 13, 40);
+        }
         let mut client = Client::connect(server.listen_addr()).expect("connect");
         let responses = client.optimize_pipelined(&instances).expect("pipeline");
         for response in responses {

@@ -3,7 +3,7 @@
 //! as typed `PlanError`s — never panics — and the busy retry/backoff
 //! helper must turn a 1-slot server's rejections into eventual service.
 
-use dsq_core::optimize;
+use dsq_core::{format_instance, optimize};
 use dsq_server::{Client, ListenAddr, RemotePlanner, Response, RetryPolicy, Server, ServerConfig};
 use dsq_service::{PlanError, Planner, ServeSource};
 use dsq_workloads::{generate, Family};
@@ -211,7 +211,7 @@ fn planner_reconnects_after_a_backend_restart() {
     assert!(planner.drain().is_ok());
 }
 
-/// The ROADMAP satellite: `request_with_retry` against a 1-slot server.
+/// `optimize_text_with_retry` against a 1-slot server.
 /// A simultaneous burst into 1 worker × 1 queue slot must overflow, and
 /// the retry/backoff helper must turn every rejection into eventual
 /// service — no request is lost, every plan is exact.
@@ -246,7 +246,9 @@ fn retry_helper_rides_out_a_one_slot_server() {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
                     barrier.wait();
-                    client.request_with_retry(instance, policy).expect("retries never error")
+                    client
+                        .optimize_text_with_retry(&format_instance(instance), policy)
+                        .expect("retries never error")
                 })
             })
             .collect();

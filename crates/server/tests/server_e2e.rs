@@ -6,6 +6,8 @@ use dsq_core::{optimize, Plan};
 use dsq_server::{Client, ListenAddr, Response, Server, ServerConfig};
 use dsq_service::{CacheStats, CachedPlanner, PlanCache, Planner};
 use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -91,24 +93,50 @@ fn protocol_errors_keep_the_connection_usable() {
     assert_eq!(stats.protocol_errors, 1);
 }
 
+/// Every serving counter reads back through `metrics`, each under its
+/// `server.<group>.<token>` name and at its exact value.
 #[test]
-fn stats_verb_reports_the_counters() {
+fn metrics_verb_reports_the_serving_counters() {
     let server = Server::start(&tcp(), &quick_config()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let instance = generate(Family::Correlated, 6, 9);
     client.optimize(&instance).expect("cold");
     client.optimize(&instance).expect("hit");
-    match client.stats().expect("stats") {
-        Response::Stats(stats) => {
-            assert_eq!(stats.requests, 2);
-            assert_eq!(stats.hits, 1);
-            assert_eq!(stats.cold, 1);
-            assert_eq!(stats.busy_rejections, 0);
-            assert!((stats.hit_rate - 0.5).abs() < 1e-12);
-            assert!(stats.entries >= 1);
-        }
-        other => panic!("expected stats, got {other:?}"),
+    let text = client.metrics().expect("metrics");
+    for line in [
+        "counter server.serve.requests 2",
+        "counter server.serve.hits 1",
+        "counter server.serve.cold 1",
+        "counter server.admission.busy-rejections 0",
+        "counter server.serve.hit-rate-bp 5000",
+        // The daemon probes two grids; its one cold insert is filed under both.
+        "counter server.cache.entries 2",
+    ] {
+        assert!(text.lines().any(|l| l == line), "missing `{line}` in:\n{text}");
     }
+    server.shutdown();
+}
+
+/// A client from before the `stats` verb was removed fails loudly: the
+/// verb earns exactly one counted error line, in its pipeline slot, and
+/// the connection keeps answering.
+#[test]
+fn a_removed_verb_is_an_unknown_request_not_a_hang() {
+    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let ListenAddr::Tcp(addr) = server.listen_addr() else { unreachable!("bound on TCP") };
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"ping\nstats\nping\n").expect("write frame");
+    let mut reader = BufReader::new(stream);
+    let replies: Vec<String> = (0..3)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reply");
+            line
+        })
+        .collect();
+    assert_eq!(replies, ["ok pong\n", "error unknown request `stats`\n", "ok pong\n"]);
+    let text = Client::connect(server.listen_addr()).expect("connect").metrics().expect("metrics");
+    assert!(text.contains("counter server.admission.protocol-errors 1\n"), "{text}");
     server.shutdown();
 }
 

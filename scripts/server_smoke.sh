@@ -56,12 +56,14 @@ done
 "$bin" client --unix "$sock" optimize "$workdir/q.dsq" --repeat 3 > "$workdir/served.out"
 grep -q " cold " "$workdir/served.out"
 grep -q " hit " "$workdir/served.out"
-"$bin" client --unix "$sock" stats | tee "$workdir/stats.out"
-grep -q "requests 3 hits 2" "$workdir/stats.out"
-grep -q "hit-rate 66.7%" "$workdir/stats.out"
+"$bin" client --unix "$sock" metrics > "$workdir/metrics.out"
+for line in "counter server.serve.requests 3" "counter server.serve.hits 2" \
+    "counter server.serve.hit-rate-bp 6667"; do
+    grep -qx "$line" "$workdir/metrics.out" || \
+        { echo "server_smoke: expected \`$line\`" >&2; cat "$workdir/metrics.out" >&2; exit 1; }
+done
 # Hits are answered on the reactor: all three requests recorded a plan
 # stage, but only the cold one waited in the admission queue.
-"$bin" client --unix "$sock" metrics > "$workdir/metrics.out"
 grep -q "histogram server.stage.queue_wait_ns count 1 " "$workdir/metrics.out" || \
     { echo "server_smoke: hits went through the admission queue" >&2; cat "$workdir/metrics.out" >&2; exit 1; }
 grep -q "histogram server.stage.plan_ns count 3 " "$workdir/metrics.out" || \
@@ -136,10 +138,13 @@ grep -q " hit " "$workdir/fleet.out"
 grep -q "fleet: 2 backends served 12 requests" "$workdir/fleet.out"
 grep -q "0 failovers, 0 local fallbacks" "$workdir/fleet.out"
 # Both partitions carried traffic.
-"$bin" client --unix "$sock_a" stats | grep -vq "^requests 0 " || \
-    { echo "server_smoke: backend a served nothing" >&2; exit 1; }
-"$bin" client --unix "$sock_b" stats | grep -vq "^requests 0 " || \
-    { echo "server_smoke: backend b served nothing" >&2; exit 1; }
+for backend in a b; do
+    "$bin" client --unix "$workdir/fleet-$backend.sock" metrics > "$workdir/fleet-$backend.metrics"
+    if grep -qx "counter server.serve.requests 0" "$workdir/fleet-$backend.metrics"; then
+        echo "server_smoke: backend $backend served nothing" >&2
+        exit 1
+    fi
+done
 
 # Kill backend B; the same stream must complete by failing over to A
 # (and the summary must say so).
@@ -205,45 +210,36 @@ wait "$chaos_pid"
 grep -q ", chaos)" "$workdir/chaos.log"
 grep -q "drained cleanly" "$workdir/chaos.log"
 
-# ---- open-loop loadgen smoke -----------------------------------------
-# A ~2k-request Poisson burst (667 requests x 3 classes) against a fresh
-# daemon: every class must report a non-zero p99 and zero protocol
-# errors. Latency is measured from each request's scheduled send time,
-# so a stalling server cannot hide in generator back-pressure.
-lg_sock="$workdir/loadgen.sock"
-"$bin" serve --unix "$lg_sock" --workers 1 < /dev/null > "$workdir/loadgen-server.log" &
-lg_pid=$!
-daemon_pids+=("$lg_pid")
+# ---- pipelined burst smoke --------------------------------------------
+# 2000 requests against a fresh daemon: 8 documents per coalesced frame,
+# 250 rounds. The scrape afterwards counts every request exactly: none
+# lost, none malformed, one plan-stage sample each, none outstanding.
+burst_sock="$workdir/burst.sock"
+"$bin" serve --unix "$burst_sock" --workers 1 < /dev/null > "$workdir/burst-server.log" &
+burst_pid=$!
+daemon_pids+=("$burst_pid")
 for _ in $(seq 1 300); do
-    [ -S "$lg_sock" ] && break
+    [ -S "$burst_sock" ] && break
     sleep 0.1
 done
-[ -S "$lg_sock" ] || { echo "server_smoke: loadgen socket never appeared" >&2; exit 1; }
-"$bin" loadgen --unix "$lg_sock" --rate 1500 --requests 667 -n 6 --json \
-    > "$workdir/loadgen.json"
-grep -q '"schema": "dsq-loadgen/v1"' "$workdir/loadgen.json"
-for class in drift boundary pipelined; do
-    grep -q "\"class\": \"$class\"" "$workdir/loadgen.json" || \
-        { echo "server_smoke: loadgen dropped class $class" >&2; cat "$workdir/loadgen.json" >&2; exit 1; }
+[ -S "$burst_sock" ] || { echo "server_smoke: burst socket never appeared" >&2; exit 1; }
+burst_files=()
+for seed in 41 42 43 44 45 46 47 48; do
+    "$bin" generate --family clustered -n 6 --seed "$seed" > "$workdir/bq$seed.dsq"
+    burst_files+=("$workdir/bq$seed.dsq")
 done
-grep -q '"sent": 667' "$workdir/loadgen.json" || \
-    { echo "server_smoke: loadgen lost requests" >&2; cat "$workdir/loadgen.json" >&2; exit 1; }
-if grep -Eq '"p99_ns": 0[,}]' "$workdir/loadgen.json"; then
-    echo "server_smoke: loadgen reported a zero p99" >&2
-    cat "$workdir/loadgen.json" >&2
-    exit 1
-fi
-if grep -Eq '"protocol_errors": [1-9]' "$workdir/loadgen.json"; then
-    echo "server_smoke: loadgen saw protocol errors" >&2
-    cat "$workdir/loadgen.json" >&2
-    exit 1
-fi
-# The daemon's own stage histograms were live for the whole burst.
-"$bin" client --unix "$lg_sock" metrics > "$workdir/loadgen-metrics.out"
-head -1 "$workdir/loadgen-metrics.out" | grep -qx "# dsq-metrics v1"
-grep -q "histogram server.stage.plan_ns count " "$workdir/loadgen-metrics.out"
-"$bin" client --unix "$lg_sock" shutdown | grep -qx "server draining"
-wait "$lg_pid"
+"$bin" client --unix "$burst_sock" optimize "${burst_files[@]}" --repeat 250 --pipeline \
+    > "$workdir/burst.out"
+"$bin" client --unix "$burst_sock" metrics > "$workdir/burst-metrics.out"
+for line in "counter server.serve.requests 2000" "counter server.admission.protocol-errors 0" \
+    "counter server.reactor.outstanding 0"; do
+    grep -qx "$line" "$workdir/burst-metrics.out" || \
+        { echo "server_smoke: expected \`$line\`" >&2; cat "$workdir/burst-metrics.out" >&2; exit 1; }
+done
+grep -q "^histogram server.stage.plan_ns count 2000 " "$workdir/burst-metrics.out" || \
+    { echo "server_smoke: a burst request recorded no plan stage" >&2; cat "$workdir/burst-metrics.out" >&2; exit 1; }
+"$bin" client --unix "$burst_sock" shutdown | grep -qx "server draining"
+wait "$burst_pid"
 
 # ---- tiered serve-batch smoke ----------------------------------------
 # First run: every miss is answered at the greedy tier (`tier heur` on
@@ -271,4 +267,4 @@ if grep -q " tier heur" "$workdir/tiered-warm.out"; then
     exit 1
 fi
 
-echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request open-loop burst, metrics verb, tiered refinement)" >&2
+echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request pipelined burst, metrics counters, tiered refinement)" >&2
