@@ -104,6 +104,7 @@ const USAGE: &str = "usage:
   dsq fleet rebalance --from ADDRS --to ADDRS [--vnodes V]
 families: uniform-random euclidean clustered hub-spoke correlated proliferative btsp-hard
 configs:  paper incumbent-only no-epsilon-bar no-backjump extended
+          (serve defaults to paper plus prefix dominance: same plans, fewer nodes)
 FILE may be `-` for stdin; serve-batch reads every *.dsq in DIR (sorted) or a
 concatenated instance stream from stdin and serves it through the plan cache;
 serve drains gracefully on stdin EOF (tty/pipe stdin; ignored for /dev/null)

@@ -89,6 +89,12 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
+    /// Indices `0..64` as a bit mask (bit `i` set iff `i` is a member);
+    /// the whole set when the capacity is at most 64.
+    pub fn low_word(&self) -> u64 {
+        self.words[0]
+    }
+
     /// Whether every index of `other` is also in `self`.
     ///
     /// # Panics

@@ -55,6 +55,34 @@ pub struct BnbConfig {
     /// completion bound (best prefix × best outgoing transfer per remaining
     /// service) already reaches the incumbent.
     pub use_lower_bound: bool,
+    /// **Extension beyond the paper**: prefix dominance. A node's future
+    /// depends only on its placed set `S`, its last service `u`, its
+    /// bottleneck so far `ε` and its selectivity product `p` — the state
+    /// the subset DP (`dsq-baselines`' `subset_dp`) is built on. When an
+    /// earlier node with the same `(S, u)` had `ε' ≤ ε` **and** `p' ≤ p`,
+    /// every completion of this node costs at least as much as the same
+    /// completion of the earlier one, which the search has already
+    /// explored or proven `≥ ρ`; the node is pruned with a plain
+    /// backtrack.
+    ///
+    /// The prefix product is compared as well as `ε` because floating
+    /// point is not associative: two orders of the same set give products
+    /// that can differ in the last ulp, and an `ε`-only rule would then
+    /// skip a prefix whose completions are a few ulp *cheaper*, serving a
+    /// cost above the optimum. Rounding of `fl(p·x)` is monotone in `p`,
+    /// so with both comparisons every completion's computed cost is at
+    /// least the dominating one's, bit for bit. Since only strict
+    /// improvements of `ρ` are recorded, a pruned subtree could never
+    /// have changed the incumbent: plans and cost bits are identical to
+    /// the same configuration without the switch, and only the node
+    /// counts change ([`SearchStats::prunes_dominated`](crate::SearchStats::prunes_dominated)).
+    ///
+    /// The table is a fixed 2¹³-slot direct-mapped cache reused per
+    /// thread, so a collision only loses a prune. It needs `n ≤ 58` (the
+    /// key is the placed set and the last service packed in 64 bits); on
+    /// larger instances the switch has no effect. Off in
+    /// [`paper`](Self::paper); the serving daemon turns it on.
+    pub use_dominance: bool,
     /// Seed the incumbent `ρ` with a greedy plan before the search starts.
     /// The paper starts from an empty incumbent; seeding is a conventional
     /// strengthening kept off by default for fidelity.
@@ -88,6 +116,7 @@ impl BnbConfig {
             use_backjump: true,
             tight_epsilon_bar: true,
             use_lower_bound: false,
+            use_dominance: false,
             seed_with_greedy: false,
             node_limit: None,
             time_limit: None,
@@ -153,7 +182,7 @@ mod tests {
         assert_eq!(BnbConfig::default(), BnbConfig::paper());
         let cfg = BnbConfig::paper();
         assert!(cfg.use_epsilon_bar && cfg.use_backjump && cfg.tight_epsilon_bar);
-        assert!(!cfg.use_lower_bound && !cfg.seed_with_greedy);
+        assert!(!cfg.use_lower_bound && !cfg.seed_with_greedy && !cfg.use_dominance);
         assert!(cfg.node_limit.is_none() && cfg.time_limit.is_none());
     }
 

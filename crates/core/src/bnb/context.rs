@@ -65,6 +65,12 @@ pub struct SearchContext {
     total_shrink: f64,
     /// Number of services with `σ_j == 0`.
     total_zero_sel: u32,
+    /// Factor applied to the lower bound's shrink terms so that they stay
+    /// below the search's own floating-point prefix products: `1.0` when
+    /// no service has `0 < σ < 1` (every product is then exact or only
+    /// grows), `1 − 4(n+1)·ε_mach` otherwise, which covers the rounding of
+    /// the divided-out `shrink` and of the search's sequential products.
+    lower_bound_deflate: f64,
 }
 
 impl SearchContext {
@@ -107,6 +113,7 @@ impl SearchContext {
         let mut total_inflation = 1.0;
         let mut total_shrink = 1.0;
         let mut total_zero_sel = 0u32;
+        let mut lower_bound_deflate = 1.0;
         for &s in selectivity.iter() {
             if s > 1.0 {
                 total_inflation *= s;
@@ -114,6 +121,7 @@ impl SearchContext {
                 total_zero_sel += 1;
             } else if s < 1.0 {
                 total_shrink *= s;
+                lower_bound_deflate = 1.0 - 4.0 * (n + 1) as f64 * f64::EPSILON;
             }
         }
 
@@ -129,6 +137,7 @@ impl SearchContext {
             total_inflation,
             total_shrink,
             total_zero_sel,
+            lower_bound_deflate,
         }
     }
 
@@ -320,6 +329,15 @@ impl SearchContext {
     /// evaluated from the incremental state. Mirror image of
     /// [`epsilon_bar`](Self::epsilon_bar): every remaining service is
     /// charged its best case.
+    ///
+    /// The bound is a lower bound on the search's *computed* costs, not
+    /// only on exact ones: when some `σ ∈ (0, 1)`, each remaining
+    /// service's term is scaled down by a few ulp, because the remaining
+    /// product maintained by division can round above the product the
+    /// search later builds by multiplication. Without that margin the
+    /// prune could discard a plan one ulp cheaper than `ρ`, and prefix
+    /// dominance, which relies on every prune being exact, would then
+    /// change which plan wins.
     pub fn completion_lower_bound(
         &self,
         state: &IncrementalBounds,
@@ -380,7 +398,7 @@ impl SearchContext {
             } else {
                 shrink
             };
-            visit(p * shrink_j * (self.cost[j] + sigma_j * min_out))?;
+            visit(p * shrink_j * self.lower_bound_deflate * (self.cost[j] + sigma_j * min_out))?;
         }
         ControlFlow::Continue(())
     }

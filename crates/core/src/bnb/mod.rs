@@ -8,6 +8,7 @@
 //! | Lemma 1 — `ε` never decreases along a prefix | `ε` is a running max over finalized terms (the searcher keeps it in the `eps_fin` stack); nodes with `ε ≥ ρ` are pruned, and root pairs are abandoned once their pair cost reaches `ρ` |
 //! | Lemma 2 — `ε ≥ ε̄` fixes the cost of all completions | [`BnbConfig::use_epsilon_bar`]; the test `ε ≥ ε̄` is decided by [`SearchContext::epsilon_bar_closes`] from the incremental engine state, stopping at the first `ε̄` term above `ε`; the `ε̄` formula ([`SearchContext::epsilon_bar`]) includes the proliferative-selectivity modification |
 //! | Lemma 3 — pruning up to the bottleneck service | [`BnbConfig::use_backjump`]; the search rewinds to the earliest position whose finalized term reaches `ρ`, which is sound because successors are expanded cheapest-transfer-first |
+//! | (extension) prefix dominance on the subset DP's state `(S, u)` | [`BnbConfig::use_dominance`]; a per-thread table of the latest undominated `(ε, prefix product)` per placed set and last service skips a prefix an earlier one already beat, with plans and cost bits unchanged |
 //!
 //! # Architecture of the hot path
 //!

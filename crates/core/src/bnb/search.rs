@@ -22,9 +22,14 @@
 //! 2. complete plan → candidate, update `ρ`, back-jump.
 //! 3. `ε ≥ ε̄` → Lemma-2 closure: every completion costs exactly `ε`;
 //!    record one (greedy feasible completion), update `ρ`, back-jump.
-//! 4. optional optimistic completion bound `≥ ρ` → prune (extension).
+//! 4. optional prefix dominance (extension, [`BnbConfig::use_dominance`]):
+//!    an earlier node with the same placed set `S` and last service `u`
+//!    had `ε' ≤ ε` and prefix product `p' ≤ p` → prune, plain backtrack.
+//!    Probed only while at least three services remain unplaced; with
+//!    fewer the probe never paid for itself.
+//! 5. optional optimistic completion bound `≥ ρ` → prune (extension).
 //!
-//! Checks 3 and 4 visit their bound's terms in order and stop at the
+//! Checks 3 and 5 visit their bound's terms in order and stop at the
 //! first one that decides the comparison (a term above `ε`, a term
 //! reaching `ρ`); the decisions are those of the fully evaluated bounds.
 //!
@@ -38,6 +43,35 @@
 //! is dominated. The prefixes discarded this way are exactly the paper's
 //! `V` structure; we count them in [`SearchStats`] instead of storing
 //! them.
+//!
+//! # Prefix dominance
+//!
+//! For any completion `C`, the cost of `B·C` is at least that of `A·C`
+//! when prefixes `A` and `B` share `(S, u)` and `ε_A ≤ ε_B`,
+//! `p_A ≤ p_B`: every later term is `fl(p·x)` with the same `x`, and
+//! rounding is monotone in `p` (so is every later prefix product). The
+//! earlier node `A` is stored on entry and its subtree is searched before
+//! `B` is entered, so every completion of `A` was either recorded or shown
+//! to cost `≥ ρ` at the time; hence every completion of `B` costs `≥ ρ`
+//! now, and — as only strict improvements are recorded — `B`'s subtree
+//! could change neither `ρ` nor the plan. The interactions:
+//!
+//! * **Lemma 1.** `ρ` never increases, so "`≥ ρ` then" implies "`≥ ρ`
+//!   now"; this holds with the shared incumbent of [`optimize_parallel`]
+//!   as well. Each worker probes its own table.
+//! * **Lemma 2.** A closure's `ε` obeys the same monotone relation as any
+//!   other term. The probe runs after the closure test anyway, so a
+//!   closure is never skipped.
+//! * **Lemma 3.** A back-jump out of `A`'s subtree to a position above
+//!   `u` is triggered by a finalized term inside `ε_A`; that term is
+//!   `≥ ρ`, so `ε_B ≥ ρ` and `B` is pruned by check 1 before the probe. A
+//!   back-jump to `u`'s own position skips only successors whose term of
+//!   `u` reaches `ρ`, and `B`'s term of `u` is at least as large.
+//! * **Warm starts** and the greedy seed only lower `ρ`.
+//! * **Precedence.** Feasibility of a completion depends on `S` only.
+//! * **Replay.** [`deterministic_optimum`] runs a fresh searcher, so its
+//!   table starts a fresh generation and holds nothing from the search
+//!   it replays.
 
 use crate::bitset::BitSet;
 use crate::bnb::config::BnbConfig;
@@ -46,9 +80,86 @@ use crate::bnb::stats::SearchStats;
 use crate::cost::bottleneck_cost;
 use crate::instance::QueryInstance;
 use crate::plan::Plan;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Slots of the dominance table: `2^13` slots of 32 bytes, 256 KiB per
+/// thread whatever the instance size.
+const DOMINANCE_BITS: u32 = 13;
+/// The dominance key packs the placed set above the 6-bit last service,
+/// so it is exact only for instances of at most 58 services.
+const DOMINANCE_MAX_N: usize = 58;
+/// The dominance probe runs only at nodes with at least this many
+/// unplaced services; below it the probe never saved a node.
+const DOMINANCE_MIN_UNPLACED: usize = 3;
+
+/// One remembered node: its key `S << 6 | u`, its `ε` and prefix
+/// product, and the generation (search) that stored it.
+#[derive(Debug, Clone, Copy, Default)]
+struct DominanceSlot {
+    key: u64,
+    eps: f64,
+    prefix: f64,
+    generation: u32,
+}
+
+/// A direct-mapped table of the latest undominated `(ε, prefix)` per `(S, u)`.
+/// Allocated once per thread and reused: each search stamps its entries
+/// with a fresh generation instead of clearing the table. A collision
+/// overwrites the slot (losing a prune, never causing a false one: the
+/// full key is compared).
+#[derive(Debug)]
+struct DominanceTable {
+    slots: Vec<DominanceSlot>,
+    generation: u32,
+}
+
+thread_local! {
+    /// The calling thread's table, parked here between searches.
+    static DOMINANCE_TABLE: Cell<Option<DominanceTable>> = const { Cell::new(None) };
+}
+
+impl DominanceTable {
+    /// Takes the thread's table (allocating it on first use) and starts a
+    /// new generation, so no entry of an earlier search is visible.
+    fn acquire() -> Self {
+        let mut table = DOMINANCE_TABLE.take().unwrap_or_else(|| DominanceTable {
+            slots: vec![DominanceSlot::default(); 1 << DOMINANCE_BITS],
+            generation: 0,
+        });
+        table.generation = table.generation.wrapping_add(1);
+        if table.generation == 0 {
+            // Wrapped: entries of generation 1 onwards would look live.
+            table.slots.fill(DominanceSlot::default());
+            table.generation = 1;
+        }
+        table
+    }
+
+    /// Parks the table for the thread's next search.
+    fn release(self) {
+        DOMINANCE_TABLE.set(Some(self));
+    }
+
+    /// Whether an earlier node of this search with the same `key` had
+    /// `ε` and prefix product no larger than these; if not, remembers
+    /// this node in the key's slot.
+    fn dominated_or_store(&mut self, key: u64, eps: f64, prefix: f64) -> bool {
+        let index = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DOMINANCE_BITS)) as usize;
+        let slot = &mut self.slots[index];
+        if slot.generation == self.generation
+            && slot.key == key
+            && slot.eps <= eps
+            && slot.prefix <= prefix
+        {
+            return true;
+        }
+        *slot = DominanceSlot { key, eps, prefix, generation: self.generation };
+        false
+    }
+}
 
 /// Outcome of a branch-and-bound run: the best plan found, its bottleneck
 /// cost, and the search statistics.
@@ -165,12 +276,13 @@ pub fn optimize_parallel(
     // rows) and the globally sorted root list are built once and shared by
     // every worker, instead of paying the O(n² log n) setup per thread.
     let ctx = SearchContext::new(instance);
-    let setup = Searcher::new(instance, &ctx, config.clone());
-    let roots = setup.sorted_roots();
     // Warm start: the seed plan bounds every worker from the first node
     // (workers pull it through the shared cell) and survives as the
     // result if nothing beats it.
-    let incumbent_seed = setup.incumbent_seed();
+    let (roots, incumbent_seed) = {
+        let setup = Searcher::new(instance, &ctx, config.clone());
+        (setup.sorted_roots(), setup.incumbent_seed())
+    };
     let shared_rho = AtomicU64::new(match &incumbent_seed {
         Some((_, cost)) => cost.to_bits(),
         None => f64::INFINITY.to_bits(),
@@ -220,7 +332,7 @@ pub fn optimize_parallel(
                         (order, cost)
                     });
                     searcher.stats.proven_optimal = !searcher.interrupted;
-                    (best, searcher.stats)
+                    (best, std::mem::take(&mut searcher.stats))
                 })
             })
             .collect();
@@ -333,11 +445,25 @@ struct Searcher<'a> {
     /// non-negative floats order identically to their bit patterns, so
     /// `fetch_min` on bits is a numeric min).
     shared_rho: Option<&'a AtomicU64>,
+    /// Prefix-dominance table, present when
+    /// [`BnbConfig::use_dominance`] is on and the instance can use it.
+    dominance: Option<DominanceTable>,
+}
+
+impl Drop for Searcher<'_> {
+    fn drop(&mut self) {
+        if let Some(table) = self.dominance.take() {
+            table.release();
+        }
+    }
 }
 
 impl<'a> Searcher<'a> {
     fn new(inst: &'a QueryInstance, ctx: &'a SearchContext, cfg: BnbConfig) -> Self {
         let n = inst.len();
+        let dominance = (cfg.use_dominance
+            && (2 + DOMINANCE_MIN_UNPLACED..=DOMINANCE_MAX_N).contains(&n))
+        .then(DominanceTable::acquire);
         Searcher {
             inst,
             ctx,
@@ -357,6 +483,7 @@ impl<'a> Searcher<'a> {
             halt_on_candidate: false,
             halted: false,
             shared_rho: None,
+            dominance,
         }
     }
 
@@ -474,7 +601,7 @@ impl<'a> Searcher<'a> {
         self.stats.proven_optimal = !self.interrupted;
         let plan = Plan::new(order).expect("search produces valid permutations");
         let cost = bottleneck_cost(self.inst, &plan);
-        BnbResult { plan, cost, stats: self.stats }
+        BnbResult { plan, cost, stats: std::mem::take(&mut self.stats) }
     }
 
     /// Depth-first exploration of the subtree rooted at the pair `(a, b)`.
@@ -597,6 +724,19 @@ impl<'a> Searcher<'a> {
             }
             self.rewind();
             return false;
+        }
+
+        if self.n - m >= DOMINANCE_MIN_UNPLACED {
+            if let Some(table) = &mut self.dominance {
+                let key = self.state.placed().low_word() << 6 | last as u64;
+                if table.dominated_or_store(key, eps, self.prefix[m - 1]) {
+                    self.stats.prunes_dominated += 1;
+                    // Like the lower bound, dominance speaks for this
+                    // node's completions only: plain backtrack.
+                    self.pop_one();
+                    return false;
+                }
+            }
         }
 
         if self.cfg.use_lower_bound
@@ -1215,6 +1355,28 @@ mod tests {
                 assert_eq!(parallel.cost().to_bits(), reference.cost().to_bits());
             }
         }
+    }
+
+    #[test]
+    fn dominance_table_compares_both_values_and_forgets_old_searches() {
+        let mut table = DominanceTable::acquire();
+        assert!(!table.dominated_or_store(7, 1.0, 1.0), "empty slot");
+        assert!(table.dominated_or_store(7, 1.0, 1.0), "ties are dominated");
+        assert!(!table.dominated_or_store(9, 5.0, 5.0), "another key never is");
+        // Smaller ε but a larger product: not dominated; it takes the slot.
+        assert!(!table.dominated_or_store(7, 0.5, 2.0));
+        assert!(!table.dominated_or_store(7, 1.0, 1.0), "the stored product is larger");
+        table.release();
+
+        let mut next = DominanceTable::acquire();
+        assert!(!next.dominated_or_store(7, 9.0, 9.0), "a new search sees nothing of the last");
+        next.generation = u32::MAX;
+        assert!(!next.dominated_or_store(7, 0.0, 0.0));
+        next.release();
+        let mut wrapped = DominanceTable::acquire();
+        assert_eq!(wrapped.generation, 1, "the generation skips 0 on wrap");
+        assert!(!wrapped.dominated_or_store(7, 9.0, 9.0), "the wrap clears every slot");
+        wrapped.release();
     }
 
     #[test]

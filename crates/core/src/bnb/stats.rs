@@ -28,6 +28,10 @@ pub struct SearchStats {
     pub prunes_incumbent: u64,
     /// Nodes pruned by the optimistic completion bound (extension).
     pub prunes_lower_bound: u64,
+    /// Nodes pruned because an earlier node with the same placed set and
+    /// last service had a bottleneck and a prefix product no larger
+    /// ([`BnbConfig::use_dominance`](crate::BnbConfig::use_dominance)).
+    pub prunes_dominated: u64,
     /// Root pairs whose subtree was searched.
     pub roots_explored: u64,
     /// Root pairs skipped because their pair cost already reached `ρ`.
@@ -61,6 +65,7 @@ impl SearchStats {
             backjump_levels_saved,
             prunes_incumbent,
             prunes_lower_bound,
+            prunes_dominated,
             roots_explored,
             roots_pruned,
             max_depth,
@@ -75,6 +80,7 @@ impl SearchStats {
         self.backjump_levels_saved += backjump_levels_saved;
         self.prunes_incumbent += prunes_incumbent;
         self.prunes_lower_bound += prunes_lower_bound;
+        self.prunes_dominated += prunes_dominated;
         self.roots_explored += roots_explored;
         self.roots_pruned += roots_pruned;
         self.max_depth = self.max_depth.max(*max_depth);
@@ -130,6 +136,7 @@ impl fmt::Display for SearchStats {
         )?;
         writeln!(f, "incumbent prunes   {:>12}", self.prunes_incumbent)?;
         writeln!(f, "lower-bound prunes {:>12}", self.prunes_lower_bound)?;
+        writeln!(f, "dominance prunes   {:>12}", self.prunes_dominated)?;
         writeln!(
             f,
             "roots explored     {:>12} (pruned {})",
@@ -172,6 +179,7 @@ mod tests {
             backjump_levels_saved: 5,
             prunes_incumbent: 4,
             prunes_lower_bound: 3,
+            prunes_dominated: 2,
             roots_explored: 2,
             roots_pruned: 1,
             max_depth: 4,
@@ -187,6 +195,7 @@ mod tests {
             backjump_levels_saved: 50,
             prunes_incumbent: 40,
             prunes_lower_bound: 30,
+            prunes_dominated: 20,
             roots_explored: 20,
             roots_pruned: 10,
             max_depth: 3,
@@ -203,6 +212,7 @@ mod tests {
         assert_eq!(merged.backjump_levels_saved, 55);
         assert_eq!(merged.prunes_incumbent, 44);
         assert_eq!(merged.prunes_lower_bound, 33);
+        assert_eq!(merged.prunes_dominated, 22);
         assert_eq!(merged.roots_explored, 22);
         assert_eq!(merged.roots_pruned, 11);
         assert_eq!(merged.max_depth, 4, "max depth takes the maximum");
@@ -227,7 +237,8 @@ mod tests {
         let stats =
             SearchStats { nodes_visited: 42, proven_optimal: true, ..SearchStats::default() };
         let text = stats.to_string();
-        for needle in ["nodes visited", "lemma-2", "backjumps", "proven optimal", "42"] {
+        for needle in ["nodes visited", "lemma-2", "backjumps", "dominance", "proven optimal", "42"]
+        {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
     }

@@ -20,17 +20,18 @@ pub fn experiment() -> Experiment {
 fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let sizes: Vec<usize> = ctx.size(vec![10, 12], vec![9, 10]);
     let seeds: u64 = ctx.size(5, 2);
-    let configs: [(&str, BnbConfig); 6] = [
+    let configs: [(&str, BnbConfig); 7] = [
         ("incumbent-only (L1)", BnbConfig::incumbent_only()),
         ("L1+L2 (no backjump)", BnbConfig::without_backjump()),
         ("L1+L3 (no ε̄)", BnbConfig::without_epsilon_bar()),
         ("paper (L1+L2+L3)", BnbConfig::paper()),
+        ("paper + dominance", BnbConfig { use_dominance: true, ..BnbConfig::paper() }),
         ("paper with loose ε̄", BnbConfig { tight_epsilon_bar: false, ..BnbConfig::paper() }),
         ("extended (+seed +LB)", BnbConfig::extended()),
     ];
 
     let mut tables = Vec::new();
-    for family in [Family::UniformRandom, Family::Clustered] {
+    for family in [Family::UniformRandom, Family::Clustered, Family::BtspHard] {
         for &n in &sizes {
             let points = Sweep::new().families([family]).sizes([n]).seeds(0..seeds).build();
             let mut table = Table::new(
@@ -41,6 +42,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     "vs L1-only",
                     "closures",
                     "backjumps",
+                    "dominated",
                     "time (mean)",
                 ],
             );
@@ -49,6 +51,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                 let mut nodes = 0u64;
                 let mut closures = 0u64;
                 let mut backjumps = 0u64;
+                let mut dominated = 0u64;
                 let mut elapsed = std::time::Duration::ZERO;
                 for point in &points {
                     let t0 = Instant::now();
@@ -57,6 +60,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     nodes += result.stats().nodes_visited;
                     closures += result.stats().lemma2_closures;
                     backjumps += result.stats().backjumps;
+                    dominated += result.stats().prunes_dominated;
                 }
                 let mean_nodes = nodes as f64 / points.len() as f64;
                 if *name == "incumbent-only (L1)" {
@@ -68,6 +72,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     format!("{}x", cell_f64(baseline_nodes / mean_nodes.max(1.0), 2)),
                     (closures / points.len() as u64).to_string(),
                     (backjumps / points.len() as u64).to_string(),
+                    (dominated / points.len() as u64).to_string(),
                     format!("{} ms", cell_ms(elapsed / points.len() as u32)),
                 ]);
             }

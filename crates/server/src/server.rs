@@ -101,8 +101,9 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     /// One worker (scale explicitly on multi-core hosts), a 64-slot
-    /// admission queue, 50 ms retry hint, paper optimizer configuration,
-    /// the default cache with **two probes** (the daemon faces drifting
+    /// admission queue, 50 ms retry hint, the paper optimizer with
+    /// [prefix dominance](BnbConfig::use_dominance) on (same plans and
+    /// cost bits, fewer nodes per cold search), the default cache with **two probes** (the daemon faces drifting
     /// traffic, where multi-probe lookup pays for itself), no
     /// persistence, 30 s snapshot period, a 64-deep pipeline cap.
     fn default() -> Self {
@@ -110,7 +111,7 @@ impl Default for ServerConfig {
             workers: NonZeroUsize::new(1).expect("non-zero literal"),
             queue_capacity: 64,
             retry_after_ms: 50,
-            bnb: BnbConfig::paper(),
+            bnb: BnbConfig { use_dominance: true, ..BnbConfig::paper() },
             cache: CacheConfig { probes: 2, ..CacheConfig::default() },
             snapshot_path: None,
             snapshot_interval: Duration::from_secs(30),

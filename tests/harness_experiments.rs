@@ -49,6 +49,8 @@ fn e3_shows_pruning_gains() {
         let nodes: Vec<f64> = rows.iter().map(|r| r[1].parse().expect("numeric")).collect();
         // Paper config (row 3) never visits more nodes than L1-only (row 0).
         assert!(nodes[3] <= nodes[0], "paper config should not exceed incumbent-only: {nodes:?}");
+        // Dominance (row 4) only skips subtrees of the paper search.
+        assert!(nodes[4] <= nodes[3], "dominance should not exceed the paper config: {nodes:?}");
     }
 }
 
