@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! dsq generate --family clustered -n 12 --seed 3       # instance → stdout
-//! dsq optimize pipeline.dsq [--parallel 4] [--config extended]
+//! dsq optimize pipeline.dsq [--parallel 4] [--config no-backjump]
 //! dsq explain pipeline.dsq --plan 2,0,1                # per-term breakdown
 //! dsq baselines pipeline.dsq                           # comparison table
 //! dsq simulate pipeline.dsq --tuples 20000 [--plan …]  # discrete-event run
@@ -103,7 +103,7 @@ const USAGE: &str = "usage:
                      | metrics | ping | shutdown | hold N
   dsq fleet rebalance --from ADDRS --to ADDRS [--vnodes V]
 families: uniform-random euclidean clustered hub-spoke correlated proliferative btsp-hard
-configs:  paper incumbent-only no-epsilon-bar no-backjump extended
+configs:  paper incumbent-only no-epsilon-bar no-backjump
           (serve defaults to paper plus prefix dominance: same plans, fewer nodes)
 FILE may be `-` for stdin; serve-batch reads every *.dsq in DIR (sorted) or a
 concatenated instance stream from stdin and serves it through the plan cache;
@@ -155,7 +155,6 @@ fn parse_config(name: &str) -> Result<BnbConfig, CliError> {
         "incumbent-only" => Ok(BnbConfig::incumbent_only()),
         "no-epsilon-bar" => Ok(BnbConfig::without_epsilon_bar()),
         "no-backjump" => Ok(BnbConfig::without_backjump()),
-        "extended" => Ok(BnbConfig::extended()),
         other => Err(format!("unknown config `{other}`")),
     }
 }
@@ -1252,7 +1251,7 @@ mod tests {
             "--parallel",
             "2",
             "--config",
-            "extended",
+            "no-backjump",
         ]);
         assert!(parallel.contains("optimal   true"));
         std::fs::remove_file(path).ok();
@@ -1328,7 +1327,12 @@ mod tests {
         );
         // Unknown family / config.
         assert_eq!(run_err(&["generate", "--family", "mesh", "-n", "4"]), "unknown family `mesh`");
-        assert_eq!(run_err(&["optimize", file, "--config", "zap"]), "unknown config `zap`");
+        for name in ["zap", "extended"] {
+            assert_eq!(
+                run_err(&["optimize", file, "--config", name]),
+                format!("unknown config `{name}`")
+            );
+        }
         // serve-batch argument errors.
         assert_eq!(run_err(&["serve-batch"]), "serve-batch requires a directory or `-` for stdin");
         assert_eq!(

@@ -1,14 +1,13 @@
-//! **Reference oracles** for the two guiding measures of the search, `ε̄`
-//! and the optimistic completion bound.
+//! **Reference oracle** for the guiding measure of the search, `ε̄`.
 //!
-//! The production search evaluates these bounds through the incremental
-//! engine in [`context`](super::context) (flat arrays, pre-sorted transfer
-//! rows, `O(1)` product maintenance). This module keeps the original
-//! closed-form, recompute-from-scratch implementations — compiled only for
+//! The production search evaluates `ε̄` through the incremental engine in
+//! [`context`](super::context) (flat arrays, pre-sorted transfer rows,
+//! `O(1)` product maintenance). This module keeps the original
+//! closed-form, recompute-from-scratch implementation — compiled only for
 //! tests — as the executable specification: the property tests in
-//! `context` pin the incremental engine to these within `1e-12` across
+//! `context` pin the incremental engine to it within `1e-12` across
 //! random push/pop/rewind sequences, and the tests at the bottom of this
-//! file prove the definitions themselves sound against random completions.
+//! file prove the definition itself sound against random completions.
 //!
 //! Notation: the current partial plan `C` has last service `u`;
 //! `prefix_last = Π σ` over the services *before* `u`; `R` is the set of
@@ -94,58 +93,6 @@ pub(crate) fn epsilon_bar(
     bound
 }
 
-/// Optimistic lower bound on the bottleneck cost of *any* completion of the
-/// current partial plan (the `use_lower_bound` extension).
-///
-/// Mirror image of [`epsilon_bar`]: each remaining service `j` is charged
-/// its *best* case — the smallest prefix it could see (`P` shrunk by every
-/// remaining selectivity below one except its own) times its cost plus its
-/// *cheapest* outgoing transfer. The last placed service is likewise
-/// charged its cheapest remaining successor. Any completion must pay each
-/// of these terms somewhere, so their maximum is a valid bound.
-pub(crate) fn completion_lower_bound(
-    inst: &QueryInstance,
-    placed: &BitSet,
-    last: usize,
-    prefix_last: f64,
-) -> f64 {
-    let n = inst.len();
-    debug_assert!(placed.len() < n);
-    let p = prefix_last * inst.selectivity(last);
-
-    // Shrink: product of remaining selectivities below one.
-    let mut shrink = 1.0;
-    for j in 0..n {
-        if !placed.contains(j) && inst.selectivity(j) < 1.0 {
-            shrink *= inst.selectivity(j);
-        }
-    }
-
-    let mut min_t_last = f64::INFINITY;
-    for l in 0..n {
-        if !placed.contains(l) {
-            min_t_last = min_t_last.min(inst.transfer(last, l));
-        }
-    }
-    let mut bound = prefix_last * (inst.cost(last) + inst.selectivity(last) * min_t_last);
-
-    for j in 0..n {
-        if placed.contains(j) {
-            continue;
-        }
-        let sigma_j = inst.selectivity(j);
-        let mut min_out = inst.sink_cost(j);
-        for l in 0..n {
-            if l != j && !placed.contains(l) {
-                min_out = min_out.min(inst.transfer(j, l));
-            }
-        }
-        let shrink_j = if sigma_j < 1.0 && sigma_j > 0.0 { shrink / sigma_j } else { shrink };
-        bound = bound.max(p * shrink_j * (inst.cost(j) + sigma_j * min_out));
-    }
-    bound
-}
-
 /// Precomputes, for every service `j`, the largest possible outgoing
 /// per-tuple transfer `max(max_{l≠j} t_{j,l}, sink_j)` — the loose-mode
 /// row maxima for [`epsilon_bar`].
@@ -168,7 +115,7 @@ pub(crate) fn row_maxima(inst: &QueryInstance) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::comm::CommMatrix;
-    use crate::cost::{bottleneck_cost, cost_terms};
+    use crate::cost::cost_terms;
     use crate::plan::Plan;
     use crate::service::Service;
     use rand::rngs::StdRng;
@@ -189,8 +136,7 @@ mod tests {
     }
 
     /// For random prefixes and random completions, every term introduced by
-    /// the completion is bounded by `ε̄`, and the completed plan's cost is
-    /// at least the optimistic completion bound.
+    /// the completion is bounded by `ε̄`.
     #[test]
     fn bounds_bracket_random_completions() {
         let mut rng = StdRng::seed_from_u64(42);
@@ -220,8 +166,6 @@ mod tests {
                 "loose bound must dominate tight: {ebar_loose} vs {ebar_tight}"
             );
 
-            let lb = completion_lower_bound(&inst, &placed, last, prefix_last);
-
             let plan = Plan::new(order.clone()).unwrap();
             let terms = cost_terms(&inst, &plan);
             // Terms introduced at or after the prefix boundary (the last
@@ -230,11 +174,6 @@ mod tests {
             assert!(
                 ebar_tight >= new_term_max - 1e-9,
                 "ε̄ {ebar_tight} must dominate completion terms {new_term_max} (trial {trial})"
-            );
-            let total = bottleneck_cost(&inst, &plan);
-            assert!(
-                total >= lb - 1e-9,
-                "completion cost {total} must be at least lower bound {lb} (trial {trial})"
             );
         }
     }
@@ -269,51 +208,5 @@ mod tests {
         let maxima = row_maxima(&inst);
         assert_eq!(maxima[0], 9.0);
         assert_eq!(maxima[1], 0.5);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_true_optimum() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let n = rng.gen_range(3..7);
-            let inst = random_instance(&mut rng, n, false);
-            // Prefix = single service i; bound must not exceed the best
-            // completion starting with i.
-            let start = rng.gen_range(0..n);
-            let mut placed = BitSet::new(n);
-            placed.insert(start);
-            let lb = completion_lower_bound(&inst, &placed, start, 1.0);
-
-            let rest: Vec<usize> = (0..n).filter(|&s| s != start).collect();
-            let mut best = f64::INFINITY;
-            permute(rest, &mut |tail| {
-                let mut order = vec![start];
-                order.extend_from_slice(tail);
-                let plan = Plan::new(order).unwrap();
-                best = best.min(bottleneck_cost(&inst, &plan));
-            });
-            assert!(lb <= best + 1e-9, "lb {lb} exceeds best completion {best}");
-        }
-    }
-
-    fn permute(items: Vec<usize>, f: &mut impl FnMut(&[usize])) {
-        let mut items = items;
-        let len = items.len();
-        heap_permute(&mut items, len, f);
-    }
-
-    fn heap_permute(items: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
-        if k <= 1 {
-            f(items);
-            return;
-        }
-        for i in 0..k {
-            heap_permute(items, k - 1, f);
-            if k.is_multiple_of(2) {
-                items.swap(i, k - 1);
-            } else {
-                items.swap(0, k - 1);
-            }
-        }
     }
 }

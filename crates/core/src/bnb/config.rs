@@ -1,17 +1,18 @@
 //! Optimizer configuration and ablation switches.
 
 use crate::plan::Plan;
-use std::time::Duration;
 
 /// Configuration of the branch-and-bound optimizer.
 ///
 /// The default configuration reproduces the algorithm exactly as described
 /// in the paper: Lemma-1 incumbent pruning, Lemma-2 closure (`ε ≥ ε̄`), and
 /// Lemma-3 back-jumping, with successors expanded cheapest-transfer-first.
-/// The remaining switches exist for the ablation experiments (E3) and for
-/// bounding long searches; **every configuration returns an optimal plan**
-/// (given no budget), the switches only change how much of the search space
-/// is visited.
+/// Beside the paper algorithm's three switches (`use_epsilon_bar`,
+/// `use_backjump`, `tight_epsilon_bar`) there are three more:
+/// `use_dominance` (an extension the serving daemon turns on),
+/// `node_limit` (a search budget) and `initial_incumbent` (a warm start).
+/// **Every configuration returns an optimal plan** (given no budget); the
+/// switches only change how much of the search space is visited.
 ///
 /// This is a passive parameter struct; fields are public by design.
 ///
@@ -51,10 +52,6 @@ pub struct BnbConfig {
     /// identical decisions to a full evaluation; the switch remains for
     /// the E3 ablation and for bound-quality comparisons.
     pub tight_epsilon_bar: bool,
-    /// **Extension beyond the paper**: prune nodes whose optimistic
-    /// completion bound (best prefix × best outgoing transfer per remaining
-    /// service) already reaches the incumbent.
-    pub use_lower_bound: bool,
     /// **Extension beyond the paper**: prefix dominance. A node's future
     /// depends only on its placed set `S`, its last service `u`, its
     /// bottleneck so far `ε` and its selectivity product `p` — the state
@@ -83,16 +80,9 @@ pub struct BnbConfig {
     /// larger instances the switch has no effect. Off in
     /// [`paper`](Self::paper); the serving daemon turns it on.
     pub use_dominance: bool,
-    /// Seed the incumbent `ρ` with a greedy plan before the search starts.
-    /// The paper starts from an empty incumbent; seeding is a conventional
-    /// strengthening kept off by default for fidelity.
-    pub seed_with_greedy: bool,
     /// Abort after visiting this many nodes, returning the best plan found
     /// (flagged as not proven optimal).
     pub node_limit: Option<u64>,
-    /// Abort after this much wall-clock time, returning the best plan found
-    /// (flagged as not proven optimal).
-    pub time_limit: Option<Duration>,
     /// **Warm start**: seed the incumbent `ρ` with this complete plan
     /// (evaluated on the instance being optimized) before the search
     /// begins. Used by the `dsq-service` plan cache to resume from a
@@ -115,11 +105,8 @@ impl BnbConfig {
             use_epsilon_bar: true,
             use_backjump: true,
             tight_epsilon_bar: true,
-            use_lower_bound: false,
             use_dominance: false,
-            seed_with_greedy: false,
             node_limit: None,
-            time_limit: None,
             initial_incumbent: None,
         }
     }
@@ -140,21 +127,9 @@ impl BnbConfig {
         BnbConfig { use_backjump: false, ..BnbConfig::paper() }
     }
 
-    /// The paper's algorithm plus every extension (greedy seed, optimistic
-    /// completion bound).
-    pub fn extended() -> Self {
-        BnbConfig { use_lower_bound: true, seed_with_greedy: true, ..BnbConfig::paper() }
-    }
-
     /// Returns this configuration with a node budget.
     pub fn with_node_limit(mut self, nodes: u64) -> Self {
         self.node_limit = Some(nodes);
-        self
-    }
-
-    /// Returns this configuration with a wall-clock budget.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
         self
     }
 
@@ -182,8 +157,8 @@ mod tests {
         assert_eq!(BnbConfig::default(), BnbConfig::paper());
         let cfg = BnbConfig::paper();
         assert!(cfg.use_epsilon_bar && cfg.use_backjump && cfg.tight_epsilon_bar);
-        assert!(!cfg.use_lower_bound && !cfg.seed_with_greedy && !cfg.use_dominance);
-        assert!(cfg.node_limit.is_none() && cfg.time_limit.is_none());
+        assert!(!cfg.use_dominance);
+        assert!(cfg.node_limit.is_none() && cfg.initial_incumbent.is_none());
     }
 
     #[test]
@@ -194,16 +169,12 @@ mod tests {
         assert!(BnbConfig::without_epsilon_bar().use_backjump);
         assert!(!BnbConfig::without_backjump().use_backjump);
         assert!(BnbConfig::without_backjump().use_epsilon_bar);
-        assert!(BnbConfig::extended().use_lower_bound);
-        assert!(BnbConfig::extended().seed_with_greedy);
     }
 
     #[test]
     fn budget_builders() {
-        let cfg =
-            BnbConfig::paper().with_node_limit(1000).with_time_limit(Duration::from_millis(5));
+        let cfg = BnbConfig::paper().with_node_limit(1000);
         assert_eq!(cfg.node_limit, Some(1000));
-        assert_eq!(cfg.time_limit, Some(Duration::from_millis(5)));
     }
 
     #[test]

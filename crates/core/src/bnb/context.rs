@@ -1,38 +1,36 @@
 //! Cache-friendly shared search data and the incremental bound engine.
 //!
-//! The branch-and-bound hot path compares `ε̄` with `ε` and the optimistic
-//! completion bound with `ρ` at every node. Doing that against
-//! [`QueryInstance`] directly costs an accessor indirection per parameter,
-//! an `O(n)` product rebuild per bound, and — in tight mode — an
-//! `O(|R|²)` max scan per node. This module replaces all of that with two
-//! pieces, and decides each comparison at the first bound term that
-//! settles it:
+//! The branch-and-bound hot path compares `ε̄` with `ε` at every node.
+//! Doing that against [`QueryInstance`] directly costs an accessor
+//! indirection per parameter, an `O(n)` product rebuild per node, and —
+//! in tight mode — an `O(|R|²)` max scan per node. This module replaces
+//! all of that with two pieces, and decides the comparison at the first
+//! bound term that settles it:
 //!
 //! * [`SearchContext`] — an immutable, per-instance snapshot built **once**
 //!   per `optimize` call (and shared by every worker of
 //!   [`optimize_parallel`](crate::optimize_parallel)): flat structure-of-
 //!   arrays copies of cost/selectivity/sink, the row-major transfer matrix,
 //!   the loose-mode row maxima, and per-row successor lists pre-sorted both
-//!   ascending (candidate expansion, lower-bound minima) and descending
-//!   (tight `ε̄` row maxima). "Max/min transfer into the remaining set"
-//!   becomes a first-remaining-entry scan of a sorted row — `O(1)` while
-//!   the head of the row is unplaced, `O(depth)` worst case when the
-//!   search has placed exactly the row's cheapest/most-expensive entries
-//!   — instead of an unconditional `O(n)` loop.
+//!   ascending (candidate expansion) and descending (tight `ε̄` row
+//!   maxima). "Max transfer into the remaining set" becomes a
+//!   first-remaining-entry scan of the descending row — `O(1)` while the
+//!   head of the row is unplaced, `O(depth)` worst case when the search
+//!   has placed exactly the row's most expensive entries — instead of an
+//!   unconditional `O(n)` loop.
 //! * [`IncrementalBounds`] — the mutable per-worker state: the placed /
-//!   remaining sets plus stacks of the inflation (`Π σ>1` over remaining)
-//!   and shrink (`Π σ<1` over remaining) selectivity products, updated in
-//!   `O(1)` on [`push`](IncrementalBounds::push) and restored **exactly**
-//!   on [`pop`](IncrementalBounds::pop) (pops truncate the stack rather
-//!   than multiplying back, so no rounding error accumulates across
-//!   backtracks; only the divisions along the current path — at most `n`
-//!   of them — can drift, keeping the products within a few ulps of the
-//!   closed-form recomputation).
+//!   remaining sets plus a stack of the inflation product (`Π σ>1` over
+//!   remaining), updated in `O(1)` on [`push`](IncrementalBounds::push)
+//!   and restored **exactly** on [`pop`](IncrementalBounds::pop) (pops
+//!   truncate the stack rather than multiplying back, so no rounding
+//!   error accumulates across backtracks; only the divisions along the
+//!   current path — at most `n` of them — can drift, keeping the product
+//!   within a few ulps of the closed-form recomputation).
 //!
-//! The closed-form bound definitions these accelerate are retained in the
-//! `bounds` module as `#[cfg(test)]` reference oracles; the property tests
-//! at the bottom of this file pin every incremental quantity to them within
-//! `1e-12` relative error across random push/pop/rewind sequences.
+//! The closed-form `ε̄` definition these accelerate is retained in the
+//! `bounds` module as a `#[cfg(test)]` reference oracle; the property
+//! tests at the bottom of this file pin every incremental quantity to it
+//! within `1e-12` relative error across random push/pop/rewind sequences.
 
 use crate::bitset::BitSet;
 use crate::instance::QueryInstance;
@@ -61,16 +59,6 @@ pub struct SearchContext {
     succ_desc: Box<[u32]>,
     /// `Π σ_j` over **all** services with `σ_j > 1`.
     total_inflation: f64,
-    /// `Π σ_j` over all services with `0 < σ_j < 1` (zeros tracked apart).
-    total_shrink: f64,
-    /// Number of services with `σ_j == 0`.
-    total_zero_sel: u32,
-    /// Factor applied to the lower bound's shrink terms so that they stay
-    /// below the search's own floating-point prefix products: `1.0` when
-    /// no service has `0 < σ < 1` (every product is then exact or only
-    /// grows), `1 − 4(n+1)·ε_mach` otherwise, which covers the rounding of
-    /// the divided-out `shrink` and of the search's sequential products.
-    lower_bound_deflate: f64,
 }
 
 impl SearchContext {
@@ -111,17 +99,9 @@ impl SearchContext {
         }
 
         let mut total_inflation = 1.0;
-        let mut total_shrink = 1.0;
-        let mut total_zero_sel = 0u32;
-        let mut lower_bound_deflate = 1.0;
         for &s in selectivity.iter() {
             if s > 1.0 {
                 total_inflation *= s;
-            } else if s == 0.0 {
-                total_zero_sel += 1;
-            } else if s < 1.0 {
-                total_shrink *= s;
-                lower_bound_deflate = 1.0 - 4.0 * (n + 1) as f64 * f64::EPSILON;
             }
         }
 
@@ -135,9 +115,6 @@ impl SearchContext {
             succ_asc: succ_asc.into(),
             succ_desc: succ_desc.into(),
             total_inflation,
-            total_shrink,
-            total_zero_sel,
-            lower_bound_deflate,
         }
     }
 
@@ -211,18 +188,6 @@ impl SearchContext {
             }
         }
         0.0
-    }
-
-    /// `min_{l ∈ remaining, l ≠ u} t_{u,l}`: first remaining entry of the
-    /// ascending row, or `+∞` when no such `l` exists.
-    #[inline]
-    pub fn min_transfer_to(&self, u: usize, remaining: &BitSet) -> f64 {
-        for &l in self.successors_ascending(u) {
-            if remaining.contains(l as usize) {
-                return self.transfer[u * self.n + l as usize];
-            }
-        }
-        f64::INFINITY
     }
 
     /// Upper bound `ε̄` on any not-yet-finalized term of any completion
@@ -323,91 +288,12 @@ impl SearchContext {
         }
         ControlFlow::Continue(())
     }
-
-    /// Optimistic lower bound on the bottleneck cost of any completion of
-    /// the current partial plan (the `use_lower_bound` extension),
-    /// evaluated from the incremental state. Mirror image of
-    /// [`epsilon_bar`](Self::epsilon_bar): every remaining service is
-    /// charged its best case.
-    ///
-    /// The bound is a lower bound on the search's *computed* costs, not
-    /// only on exact ones: when some `σ ∈ (0, 1)`, each remaining
-    /// service's term is scaled down by a few ulp, because the remaining
-    /// product maintained by division can round above the product the
-    /// search later builds by multiplication. Without that margin the
-    /// prune could discard a plan one ulp cheaper than `ρ`, and prefix
-    /// dominance, which relies on every prune being exact, would then
-    /// change which plan wins.
-    pub fn completion_lower_bound(
-        &self,
-        state: &IncrementalBounds,
-        last: usize,
-        prefix_last: f64,
-    ) -> f64 {
-        let mut bound = f64::NAN;
-        let _ = self.try_for_each_lower_bound_term(state, last, prefix_last, |term| {
-            bound = bound.max(term);
-            ControlFlow::Continue(())
-        });
-        bound
-    }
-
-    /// The lower-bound prune test `completion_lower_bound(..) >= rho`,
-    /// decided at the first term that reaches `rho`. The maximum reaches
-    /// `rho` exactly when one of its (non-NaN) terms does, so stopping
-    /// there gives the same decision as the full bound.
-    pub fn completion_lower_bound_reaches(
-        &self,
-        state: &IncrementalBounds,
-        last: usize,
-        prefix_last: f64,
-        rho: f64,
-    ) -> bool {
-        self.try_for_each_lower_bound_term(state, last, prefix_last, |term| {
-            if term >= rho {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .is_break()
-    }
-
-    /// The completion-lower-bound formula, visited term by term in the
-    /// same order as [`try_for_each_epsilon_term`](Self::try_for_each_epsilon_term).
-    #[inline]
-    fn try_for_each_lower_bound_term(
-        &self,
-        state: &IncrementalBounds,
-        last: usize,
-        prefix_last: f64,
-        mut visit: impl FnMut(f64) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let remaining = state.remaining();
-        debug_assert!(!remaining.is_empty());
-        let min_t_last = self.min_transfer_to(last, remaining);
-        visit(prefix_last * (self.cost[last] + self.selectivity[last] * min_t_last))?;
-
-        let p = prefix_last * self.selectivity[last];
-        let shrink = state.shrink();
-        for j in remaining.iter() {
-            let sigma_j = self.selectivity[j];
-            let min_out = self.sink[j].min(self.min_transfer_to(j, remaining));
-            let shrink_j = if sigma_j < 1.0 && sigma_j > 0.0 {
-                state.shrink_excluding(sigma_j)
-            } else {
-                shrink
-            };
-            visit(p * shrink_j * self.lower_bound_deflate * (self.cost[j] + sigma_j * min_out))?;
-        }
-        ControlFlow::Continue(())
-    }
 }
 
 /// Incrementally-maintained search-path state: placed/remaining sets and
-/// the inflation/shrink selectivity products over the remaining services.
+/// the inflation product `Π σ>1` over the remaining services.
 ///
-/// Products are kept as **stacks** aligned with the search path: a
+/// The product is kept as a **stack** aligned with the search path: a
 /// [`push`](Self::push) appends one value derived from the previous top in
 /// `O(1)`, and a [`pop`](Self::pop) truncates, restoring the pre-push value
 /// bit-for-bit. Exported alongside [`SearchContext`] for benchmarks; not a
@@ -416,20 +302,9 @@ impl SearchContext {
 pub struct IncrementalBounds {
     placed: BitSet,
     remaining: BitSet,
-    /// `products[d]` = the remaining-set products after `d` pushes; one
-    /// stack of one small `Copy` frame keeps a push to a single append.
-    products: Vec<Products>,
-}
-
-/// One stack frame of remaining-set selectivity products.
-#[derive(Debug, Clone, Copy)]
-struct Products {
-    /// `Π σ>1` over the remaining services.
-    inflation: f64,
-    /// `Π 0<σ<1` over the remaining services (zeros counted apart).
-    shrink: f64,
-    /// Number of remaining services with `σ == 0`.
-    zero_sel: u32,
+    /// `inflation[d]` = `Π σ>1` over the remaining services after `d`
+    /// pushes.
+    inflation: Vec<f64>,
 }
 
 impl IncrementalBounds {
@@ -439,7 +314,7 @@ impl IncrementalBounds {
         let mut state = IncrementalBounds {
             placed: BitSet::new(n),
             remaining: BitSet::new(n),
-            products: Vec::with_capacity(n + 1),
+            inflation: Vec::with_capacity(n + 1),
         };
         state.reset(ctx);
         state
@@ -449,47 +324,31 @@ impl IncrementalBounds {
     pub fn reset(&mut self, ctx: &SearchContext) {
         self.placed.clear();
         self.remaining.insert_all();
-        self.products.clear();
-        self.products.push(Products {
-            inflation: ctx.total_inflation,
-            shrink: ctx.total_shrink,
-            zero_sel: ctx.total_zero_sel,
-        });
-    }
-
-    #[inline]
-    fn top(&self) -> &Products {
-        self.products.last().expect("stack never empty")
+        self.inflation.clear();
+        self.inflation.push(ctx.total_inflation);
     }
 
     /// Marks `j` placed, dividing its selectivity out of the remaining
-    /// products. `O(1)`.
+    /// inflation product. `O(1)`.
     #[inline]
     pub fn push(&mut self, ctx: &SearchContext, j: usize) {
         debug_assert!(!self.placed.contains(j), "push of already-placed service {j}");
         self.placed.insert(j);
         self.remaining.remove(j);
         let s = ctx.selectivity[j];
-        let mut frame = *self.top();
-        if s > 1.0 {
-            frame.inflation /= s;
-        } else if s == 0.0 {
-            frame.zero_sel -= 1;
-        } else if s < 1.0 {
-            frame.shrink /= s;
-        }
-        self.products.push(frame);
+        let top = self.inflation();
+        self.inflation.push(if s > 1.0 { top / s } else { top });
     }
 
     /// Unplaces `j` (the most recently pushed service), restoring the
-    /// previous products exactly by truncating the stack. `O(1)`.
+    /// previous product exactly by truncating the stack. `O(1)`.
     #[inline]
     pub fn pop(&mut self, j: usize) {
         debug_assert!(self.placed.contains(j), "pop of unplaced service {j}");
-        debug_assert!(self.products.len() > 1, "pop without matching push");
+        debug_assert!(self.inflation.len() > 1, "pop without matching push");
         self.placed.remove(j);
         self.remaining.insert(j);
-        self.products.pop();
+        self.inflation.pop();
     }
 
     /// Whether service `j` is placed.
@@ -513,39 +372,14 @@ impl IncrementalBounds {
     /// Number of placed services.
     #[inline]
     pub fn placed_len(&self) -> usize {
-        self.products.len() - 1
+        self.inflation.len() - 1
     }
 
     /// `Π σ_j` over remaining services with `σ_j > 1` (the proliferative
     /// inflation factor of `ε̄`).
     #[inline]
     pub fn inflation(&self) -> f64 {
-        self.top().inflation
-    }
-
-    /// `Π σ_j` over remaining services with `σ_j < 1` (the shrink factor
-    /// of the completion lower bound; `0.0` when a remaining selectivity
-    /// is zero, matching the closed-form product).
-    #[inline]
-    pub fn shrink(&self) -> f64 {
-        let top = self.top();
-        if top.zero_sel > 0 {
-            0.0
-        } else {
-            top.shrink
-        }
-    }
-
-    /// The shrink product with one remaining factor `sigma ∈ (0, 1)`
-    /// divided back out (the per-service `shrink_j` of the lower bound).
-    #[inline]
-    fn shrink_excluding(&self, sigma: f64) -> f64 {
-        let top = self.top();
-        if top.zero_sel > 0 {
-            0.0
-        } else {
-            top.shrink / sigma
-        }
+        *self.inflation.last().expect("stack never empty")
     }
 }
 
@@ -591,29 +425,15 @@ mod tests {
         inflation
     }
 
-    /// Closed-form shrink product over the unplaced services (zeros
-    /// collapse the product, as in `completion_lower_bound`).
-    fn reference_shrink(inst: &QueryInstance, placed: &BitSet) -> f64 {
-        let mut shrink = 1.0;
-        for j in 0..inst.len() {
-            if !placed.contains(j) && inst.selectivity(j) < 1.0 {
-                shrink *= inst.selectivity(j);
-            }
-        }
-        shrink
-    }
-
-    /// Closed-form `max(max_{l∈R∖{u}} t_{u,l})` with a `0.0` floor, and
-    /// the matching min with a `+∞` floor.
-    fn reference_row_extrema(inst: &QueryInstance, placed: &BitSet, u: usize) -> (f64, f64) {
-        let (mut max_t, mut min_t) = (0.0_f64, f64::INFINITY);
+    /// Closed-form `max(max_{l∈R∖{u}} t_{u,l})` with a `0.0` floor.
+    fn reference_row_max(inst: &QueryInstance, placed: &BitSet, u: usize) -> f64 {
+        let mut max_t = 0.0_f64;
         for l in 0..inst.len() {
             if l != u && !placed.contains(l) {
                 max_t = max_t.max(inst.transfer(u, l));
-                min_t = min_t.min(inst.transfer(u, l));
             }
         }
-        (max_t, min_t)
+        max_t
     }
 
     /// Compares every incremental quantity against the closed-form
@@ -638,17 +458,15 @@ mod tests {
         }
 
         assert_within(state.inflation(), reference_inflation(inst, placed), "inflation");
-        assert_within(state.shrink(), reference_shrink(inst, placed), "shrink");
 
-        // Row extrema over the remaining set are exact (same floats, found
+        // Row maxima over the remaining set are exact (same floats, found
         // through the sorted rows instead of a scan).
         for u in 0..n {
-            let (max_ref, min_ref) = reference_row_extrema(inst, placed, u);
+            let max_ref = reference_row_max(inst, placed, u);
             assert_eq!(ctx.max_transfer_to(u, state.remaining()), max_ref, "row {u} max");
-            assert_eq!(ctx.min_transfer_to(u, state.remaining()), min_ref, "row {u} min");
         }
 
-        // Full bounds, against the retained closed-form implementations.
+        // Full `ε̄`, against the retained closed-form implementation.
         if !plan.is_empty() && plan.len() < n {
             let last = *plan.last().unwrap();
             let mut prefix_last = 1.0;
@@ -660,9 +478,6 @@ mod tests {
                 let slow = bounds::epsilon_bar(inst, placed, last, prefix_last, tight, row_max);
                 assert_within(fast, slow, &format!("ε̄ tight={tight}"));
             }
-            let fast = ctx.completion_lower_bound(state, last, prefix_last);
-            let slow = bounds::completion_lower_bound(inst, placed, last, prefix_last);
-            assert_within(fast, slow, "completion lower bound");
         }
     }
 
@@ -732,8 +547,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-        /// The early-exit node tests decide exactly like a comparison
-        /// against the fully evaluated bound, in tight and loose mode, with
+        /// The early-exit closure test decides exactly like a comparison
+        /// against the fully evaluated `ε̄`, in tight and loose mode, with
         /// the threshold at the bound itself, one ulp either side, and
         /// elsewhere.
         #[test]
@@ -773,17 +588,6 @@ mod tests {
                             "ε = {:e}, ε̄ = {:e}, tight = {}", eps, ebar, tight
                         );
                     }
-                }
-
-                let lb = ctx.completion_lower_bound(&state, last, prefix_last);
-                let mut thresholds = ulp_around(lb).to_vec();
-                thresholds.extend([lb * rng.gen_range(0.5..1.5), 0.0, f64::INFINITY, f64::NAN]);
-                for rho in thresholds {
-                    prop_assert!(
-                        ctx.completion_lower_bound_reaches(&state, last, prefix_last, rho)
-                            == (lb >= rho),
-                        "ρ = {:e}, lower bound = {:e}", rho, lb
-                    );
                 }
             }
         }
@@ -830,23 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_selectivity_collapses_shrink_until_placed() {
-        let inst = QueryInstance::from_parts(
-            vec![Service::new(1.0, 0.0), Service::new(1.0, 0.5), Service::new(1.0, 2.0)],
-            CommMatrix::uniform(3, 1.0),
-        )
-        .unwrap();
-        let ctx = SearchContext::new(&inst);
-        let mut state = IncrementalBounds::new(&ctx);
-        assert_eq!(state.shrink(), 0.0, "zero σ remaining collapses the product");
-        assert!((state.inflation() - 2.0).abs() < 1e-15);
-        state.push(&ctx, 0);
-        assert!((state.shrink() - 0.5).abs() < 1e-15, "placing the zero restores the product");
-        state.pop(0);
-        assert_eq!(state.shrink(), 0.0);
-    }
-
-    #[test]
     fn single_service_context_is_degenerate_but_valid() {
         let inst = QueryInstance::builder()
             .service(Service::new(1.0, 0.5))
@@ -859,6 +646,5 @@ mod tests {
         assert_eq!(ctx.row_max(0), 2.0);
         let state = IncrementalBounds::new(&ctx);
         assert_eq!(ctx.max_transfer_to(0, state.remaining()), 0.0);
-        assert_eq!(ctx.min_transfer_to(0, state.remaining()), f64::INFINITY);
     }
 }

@@ -12,34 +12,31 @@
 //!
 //! # Architecture of the hot path
 //!
-//! Testing `ε ≥ ε̄` (and the optional completion lower bound against `ρ`)
-//! at every node *is* the optimizer's throughput ceiling, so the per-node
-//! work is split into two pieces (see [`context`]), and both tests stop
-//! at the first bound term that decides them — on btsp-hard nearly every
-//! open node is decided by the first term, so the tests cost `O(1)` per
-//! node in practice:
+//! Testing `ε ≥ ε̄` at every node *is* the optimizer's throughput
+//! ceiling, so the per-node work is split into two pieces (see
+//! [`context`]), and the test stops at the first `ε̄` term above `ε` — on
+//! btsp-hard nearly every open node is decided by the first term, so the
+//! test costs `O(1)` per node in practice:
 //!
 //! * **[`SearchContext`]** — immutable, built once per `optimize` call and
 //!   shared by reference across all [`optimize_parallel`] workers: flat
 //!   structure-of-arrays copies of cost/selectivity/sink, the row-major
 //!   transfer matrix, loose-mode row maxima, and per-row successor lists
-//!   pre-sorted ascending (candidate expansion, lower-bound minima) and
-//!   descending (tight `ε̄` maxima). "Max/min transfer into the remaining
-//!   set" is a first-remaining-entry scan of a sorted row (`O(1)` while
-//!   the row head is unplaced, `O(depth)` worst case) instead of an
-//!   unconditional `O(n)` loop, and the sorted rows double as the
+//!   pre-sorted ascending (candidate expansion) and descending (tight `ε̄`
+//!   maxima). "Max transfer into the remaining set" is a
+//!   first-remaining-entry scan of a sorted row (`O(1)` while the row head
+//!   is unplaced, `O(depth)` worst case) instead of an unconditional
+//!   `O(n)` loop, and the ascending rows double as the
 //!   cheapest-transfer-first expansion order that makes Lemma 3 sound.
 //! * **[`IncrementalBounds`]** — mutable per-worker state updated in `O(1)`
 //!   on every push/pop: the placed/remaining bit sets (iterated word-level)
-//!   and stacks of the inflation (`Π σ>1`) and shrink (`Π σ<1`) products
-//!   over the remaining services, so no bound evaluation ever rebuilds a
-//!   product from scratch. Pops truncate the stacks, restoring pre-push
-//!   values exactly.
+//!   and a stack of the inflation product (`Π σ>1`) over the remaining
+//!   services, so no `ε̄` evaluation ever rebuilds it from scratch. Pops
+//!   truncate the stack, restoring pre-push values exactly.
 //!
-//! The original closed-form bound implementations are retained in a
-//! test-only `bounds` module as reference oracles; property tests pin the
-//! incremental engine to them within `1e-12` over random push/pop/rewind
-//! sequences.
+//! The original closed-form `ε̄` is retained in a test-only `bounds`
+//! module as a reference oracle; property tests pin the incremental
+//! engine to it within `1e-12` over random push/pop/rewind sequences.
 //!
 //! The private `search` module's source documents the full search-tree
 //! layout, per-node checks, and the back-jumping mechanics.

@@ -27,11 +27,9 @@
 //!    had `ε' ≤ ε` and prefix product `p' ≤ p` → prune, plain backtrack.
 //!    Probed only while at least three services remain unplaced; with
 //!    fewer the probe never paid for itself.
-//! 5. optional optimistic completion bound `≥ ρ` → prune (extension).
 //!
-//! Checks 3 and 5 visit their bound's terms in order and stop at the
-//! first one that decides the comparison (a term above `ε`, a term
-//! reaching `ρ`); the decisions are those of the fully evaluated bounds.
+//! Check 3 visits `ε̄`'s terms in order and stops at the first one above
+//! `ε`; the decision is that of the fully evaluated bound.
 //!
 //! # Back-jumping (Lemma 3)
 //!
@@ -67,7 +65,7 @@
 //!   `≥ ρ`, so `ε_B ≥ ρ` and `B` is pruned by check 1 before the probe. A
 //!   back-jump to `u`'s own position skips only successors whose term of
 //!   `u` reaches `ρ`, and `B`'s term of `u` is at least as large.
-//! * **Warm starts** and the greedy seed only lower `ρ`.
+//! * **Warm starts** only lower `ρ`.
 //! * **Precedence.** Feasibility of a completion depends on `S` only.
 //! * **Replay.** [`deterministic_optimum`] runs a fresh searcher, so its
 //!   table starts a fresh generation and holds nothing from the search
@@ -220,8 +218,8 @@ pub fn optimize(instance: &QueryInstance) -> BnbResult {
 
 /// Finds the optimal linear ordering under the given configuration.
 ///
-/// Every configuration returns an optimal plan unless a node or time
-/// budget interrupts the search, in which case the best plan found so far
+/// Every configuration returns an optimal plan unless a node budget
+/// interrupts the search, in which case the best plan found so far
 /// is returned with [`BnbResult::is_proven_optimal`] `== false`.
 pub fn optimize_with(instance: &QueryInstance, config: &BnbConfig) -> BnbResult {
     let ctx = SearchContext::new(instance);
@@ -243,7 +241,7 @@ pub fn optimize_with(instance: &QueryInstance, config: &BnbConfig) -> BnbResult 
 /// **plan** is also deterministic: a final replay pass with the proven
 /// optimal cost as a pinned bound re-derives the plan the *sequential*
 /// search order records first, so the result does not depend on worker
-/// scheduling or thread count. Node/time budgets apply **per worker**,
+/// scheduling or thread count. Node budgets apply **per worker**,
 /// and a budget-interrupted run skips the replay (its plan is then
 /// whichever incumbent happened to be best).
 ///
@@ -301,13 +299,6 @@ pub fn optimize_parallel(
                 scope.spawn(move || {
                     let mut searcher = Searcher::new(instance, ctx, cfg);
                     searcher.shared_rho = Some(shared_rho);
-                    if searcher.cfg.seed_with_greedy {
-                        if let Some((order, cost)) = searcher.greedy_plan() {
-                            searcher.publish_incumbent(cost);
-                            searcher.rho = cost;
-                            searcher.best = Some(order);
-                        }
-                    }
                     loop {
                         let idx = next_root.fetch_add(1, Ordering::Relaxed);
                         if idx >= roots.len() {
@@ -377,18 +368,18 @@ pub fn optimize_parallel(
 /// optimal plan (the bound is perfect, making the pass cheap) and the
 /// first candidate recorded — cost `≤ optimal`, hence `== optimal` — is
 /// the sequential winner; [`Searcher::halt_on_candidate`] stops there.
-/// Greedy / warm-start seeds participate exactly as in the sequential
-/// search so that an already-optimal seed is returned unchanged, keeping
-/// warm and cold results bit-identical.
+/// The warm-start seed participates exactly as in the sequential search
+/// so that an already-optimal seed is returned unchanged, keeping warm
+/// and cold results bit-identical.
 fn deterministic_optimum(
     instance: &QueryInstance,
     ctx: &SearchContext,
     config: &BnbConfig,
     optimal: f64,
 ) -> Option<Vec<usize>> {
-    let cfg = BnbConfig { node_limit: None, time_limit: None, ..config.clone() };
+    let cfg = BnbConfig { node_limit: None, ..config.clone() };
     let mut searcher = Searcher::new(instance, ctx, cfg);
-    searcher.apply_seeds();
+    searcher.apply_seed();
     searcher.rho = searcher.rho.min(next_up(optimal));
     searcher.halt_on_candidate = true;
     let roots = searcher.sorted_roots();
@@ -421,7 +412,7 @@ struct Searcher<'a> {
     // --- mutable search state ---
     plan: Vec<usize>,
     /// Placed/remaining sets plus the incrementally-maintained
-    /// inflation/shrink selectivity products feeding the bounds.
+    /// inflation product feeding `ε̄`.
     state: IncrementalBounds,
     /// `prefix[k]` = Π σ of `plan[0..k]` (so `prefix[0] == 1`).
     prefix: Vec<f64>,
@@ -505,20 +496,12 @@ impl<'a> Searcher<'a> {
         Some((plan.indices(), cost))
     }
 
-    /// Primes `ρ`/`best` from the configured seeds — greedy first, then
-    /// the warm-start incumbent — keeping strict improvements only.
-    /// Shared by [`run`](Self::run) and [`deterministic_optimum`]: the
-    /// replay must mirror the main search's seeding exactly, or the
-    /// warm≡cold and thread-count-determinism guarantees break.
-    fn apply_seeds(&mut self) {
-        if self.cfg.seed_with_greedy {
-            if let Some((order, cost)) = self.greedy_plan() {
-                if cost < self.rho {
-                    self.rho = cost;
-                    self.best = Some(order);
-                }
-            }
-        }
+    /// Primes `ρ`/`best` from the warm-start incumbent, keeping strict
+    /// improvements only. Shared by [`run`](Self::run) and
+    /// [`deterministic_optimum`]: the replay must mirror the main search's
+    /// seeding exactly, or the warm≡cold and thread-count-determinism
+    /// guarantees break.
+    fn apply_seed(&mut self) {
         if let Some((order, cost)) = self.incumbent_seed() {
             if cost < self.rho {
                 self.rho = cost;
@@ -570,7 +553,7 @@ impl<'a> Searcher<'a> {
             return self.finish(vec![0]);
         }
 
-        self.apply_seeds();
+        self.apply_seed();
 
         // Root pairs sorted by pair cost (the plan's first term).
         let roots = self.sorted_roots();
@@ -731,27 +714,12 @@ impl<'a> Searcher<'a> {
                 let key = self.state.placed().low_word() << 6 | last as u64;
                 if table.dominated_or_store(key, eps, self.prefix[m - 1]) {
                     self.stats.prunes_dominated += 1;
-                    // Like the lower bound, dominance speaks for this
-                    // node's completions only: plain backtrack.
+                    // Dominance speaks for this node's completions only,
+                    // not for its siblings: plain backtrack, no back-jump.
                     self.pop_one();
                     return false;
                 }
             }
-        }
-
-        if self.cfg.use_lower_bound
-            && self.ctx.completion_lower_bound_reaches(
-                &self.state,
-                last,
-                self.prefix[m - 1],
-                self.rho,
-            )
-        {
-            self.stats.prunes_lower_bound += 1;
-            // The bound covers every completion of this node, but says
-            // nothing about siblings: plain backtrack, no back-jump.
-            self.pop_one();
-            return false;
         }
 
         true
@@ -891,8 +859,8 @@ impl<'a> Searcher<'a> {
     }
 
     /// Full greedy plan: best cheapest-successor chain over all feasible
-    /// starting services. Used for seeding and as a budget-exhaustion
-    /// fallback.
+    /// starting services. The fallback when a budget interrupts the search
+    /// before any candidate is recorded.
     fn greedy_plan(&self) -> Option<(Vec<usize>, f64)> {
         let mut best: Option<(Vec<usize>, f64)> = None;
         for start in 0..self.n {
@@ -930,19 +898,7 @@ impl<'a> Searcher<'a> {
     }
 
     fn budget_exhausted(&self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.nodes_visited >= limit {
-                return true;
-            }
-        }
-        if let Some(limit) = self.cfg.time_limit {
-            // Clock reads are cheap relative to node work at these sizes;
-            // check every node for responsive budgets.
-            if self.started.elapsed() >= limit {
-                return true;
-            }
-        }
-        false
+        self.cfg.node_limit.is_some_and(|limit| self.stats.nodes_visited >= limit)
     }
 }
 
@@ -1069,7 +1025,6 @@ mod tests {
             BnbConfig::incumbent_only(),
             BnbConfig::without_epsilon_bar(),
             BnbConfig::without_backjump(),
-            BnbConfig::extended(),
             BnbConfig { tight_epsilon_bar: false, ..BnbConfig::paper() },
         ];
         let mut rng = StdRng::seed_from_u64(2024);
@@ -1186,18 +1141,6 @@ mod tests {
         let (_, expected) = brute_force(&inst);
         let result = optimize(&inst);
         assert_close(result.cost(), expected, "proliferative instance");
-    }
-
-    #[test]
-    fn greedy_seed_does_not_change_the_answer() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..30 {
-            let inst = random_instance(&mut rng, 6, (false, false, false));
-            let plain = optimize_with(&inst, &BnbConfig::paper());
-            let seeded =
-                optimize_with(&inst, &BnbConfig { seed_with_greedy: true, ..BnbConfig::paper() });
-            assert_close(plain.cost(), seeded.cost(), "seeding preserves optimum");
-        }
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct SearchStats {
     pub backjump_levels_saved: u64,
     /// Nodes pruned because `ε ≥ ρ` (Lemma 1).
     pub prunes_incumbent: u64,
-    /// Nodes pruned by the optimistic completion bound (extension).
-    pub prunes_lower_bound: u64,
     /// Nodes pruned because an earlier node with the same placed set and
     /// last service had a bottleneck and a prefix product no larger
     /// ([`BnbConfig::use_dominance`](crate::BnbConfig::use_dominance)).
@@ -40,7 +38,7 @@ pub struct SearchStats {
     pub max_depth: usize,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
-    /// Whether the search ran to completion (no node/time budget hit), so
+    /// Whether the search ran to completion (no node budget hit), so
     /// the returned plan is proven optimal.
     pub proven_optimal: bool,
 }
@@ -64,7 +62,6 @@ impl SearchStats {
             backjumps,
             backjump_levels_saved,
             prunes_incumbent,
-            prunes_lower_bound,
             prunes_dominated,
             roots_explored,
             roots_pruned,
@@ -79,7 +76,6 @@ impl SearchStats {
         self.backjumps += backjumps;
         self.backjump_levels_saved += backjump_levels_saved;
         self.prunes_incumbent += prunes_incumbent;
-        self.prunes_lower_bound += prunes_lower_bound;
         self.prunes_dominated += prunes_dominated;
         self.roots_explored += roots_explored;
         self.roots_pruned += roots_pruned;
@@ -135,7 +131,6 @@ impl fmt::Display for SearchStats {
             self.backjumps, self.backjump_levels_saved
         )?;
         writeln!(f, "incumbent prunes   {:>12}", self.prunes_incumbent)?;
-        writeln!(f, "lower-bound prunes {:>12}", self.prunes_lower_bound)?;
         writeln!(f, "dominance prunes   {:>12}", self.prunes_dominated)?;
         writeln!(
             f,
@@ -178,7 +173,6 @@ mod tests {
             backjumps: 6,
             backjump_levels_saved: 5,
             prunes_incumbent: 4,
-            prunes_lower_bound: 3,
             prunes_dominated: 2,
             roots_explored: 2,
             roots_pruned: 1,
@@ -194,7 +188,6 @@ mod tests {
             backjumps: 60,
             backjump_levels_saved: 50,
             prunes_incumbent: 40,
-            prunes_lower_bound: 30,
             prunes_dominated: 20,
             roots_explored: 20,
             roots_pruned: 10,
@@ -211,7 +204,6 @@ mod tests {
         assert_eq!(merged.backjumps, 66);
         assert_eq!(merged.backjump_levels_saved, 55);
         assert_eq!(merged.prunes_incumbent, 44);
-        assert_eq!(merged.prunes_lower_bound, 33);
         assert_eq!(merged.prunes_dominated, 22);
         assert_eq!(merged.roots_explored, 22);
         assert_eq!(merged.roots_pruned, 11);

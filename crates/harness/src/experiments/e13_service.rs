@@ -9,7 +9,7 @@ use crate::runner::{Experiment, ExperimentContext};
 use crate::table::{cell_f64, Table};
 use dsq_core::{BnbConfig, Quantization};
 use dsq_service::{
-    optimize_batch, BatchOptions, CacheConfig, ColdPlanner, PlanCache, Planner, ServeSource,
+    plan_batch, CacheConfig, CachedPlanner, ColdPlanner, PlanCache, Planner, ServeSource,
 };
 use dsq_workloads::{DriftConfig, DriftStream, Family};
 use std::num::NonZeroUsize;
@@ -75,10 +75,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
         // against the exact instance on every hit) is what actually
         // bounds served-plan quality.
         for workers in [1usize, 2, 4] {
-            let options = BatchOptions {
-                workers: NonZeroUsize::new(workers).expect("non-zero"),
-                config: config.clone(),
-            };
+            let pool = NonZeroUsize::new(workers).expect("non-zero");
             let (cache, served, elapsed) = fastest_of(
                 || {
                     PlanCache::new(CacheConfig {
@@ -86,7 +83,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                         ..CacheConfig::default()
                     })
                 },
-                |cache| optimize_batch(cache, &stream, &options),
+                |cache| plan_batch(&CachedPlanner::new(cache, config.clone()), &stream, pool),
             );
 
             // Every served plan — cache hit or not — must cost within the
@@ -95,6 +92,7 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
             let mut max_deviation = 0.0f64;
             let (mut hits, mut warm, mut cold) = (0u64, 0u64, 0u64);
             for (outcome, &optimal) in served.iter().zip(&cold_costs) {
+                let outcome = outcome.as_ref().expect("cached planners are infallible");
                 let deviation = (outcome.cost - optimal) / optimal.abs().max(1e-300);
                 max_deviation = max_deviation.max(deviation);
                 assert!(

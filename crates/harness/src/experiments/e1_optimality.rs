@@ -20,11 +20,10 @@ pub fn experiment() -> Experiment {
 fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let sizes: Vec<usize> = ctx.size(vec![4, 5, 6, 7, 8], vec![4, 5, 6]);
     let seeds: u64 = ctx.size(10, 3);
-    let configs: [(&str, BnbConfig); 4] = [
+    let configs: [(&str, BnbConfig); 3] = [
         ("paper", BnbConfig::paper()),
         ("incumbent-only", BnbConfig::incumbent_only()),
         ("no-backjump", BnbConfig::without_backjump()),
-        ("extended", BnbConfig::extended()),
     ];
 
     let mut table = Table::new(

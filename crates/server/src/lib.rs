@@ -2,7 +2,7 @@
 //! `dsq-service` plan cache, for workloads where the optimizer is a
 //! network service rather than a library call.
 //!
-//! The batch front-end (`dsq_service::optimize_batch`) amortizes
+//! The batch front-end (`dsq_service::plan_batch`) amortizes
 //! optimization across a *pre-filled* queue; production traffic instead
 //! arrives one request at a time, indefinitely, from many clients. This
 //! crate adds the three pieces that turn the cache into a service:

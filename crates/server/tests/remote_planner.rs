@@ -232,9 +232,11 @@ fn retry_helper_rides_out_a_one_slot_server() {
         max_backoff: Duration::from_millis(20),
     };
 
+    // n=13 cold searches outlast the burst's submission; n=10 searches
+    // can finish between two arrivals and leave nothing to retry.
     let burst = 6usize;
     let instances: Vec<_> =
-        (0..burst).map(|seed| generate(Family::BtspHard, 10, 80 + seed as u64)).collect();
+        (0..burst).map(|seed| generate(Family::BtspHard, 13, 80 + seed as u64)).collect();
     let barrier = Barrier::new(burst);
     let outcomes: Vec<(Response, u32)> = std::thread::scope(|scope| {
         let handles: Vec<_> = instances
@@ -283,17 +285,20 @@ fn busy_hints_scale_with_load_but_stay_bounded() {
         poll_interval: Duration::from_millis(2),
         // The burst overflows only while the worker is busy searching:
         // keep the slower paper search, as prefix dominance shortens
-        // some of these n=10 searches enough to let a loaded host drain
-        // the burst without a rejection.
+        // some searches enough to let a loaded host drain the burst
+        // without a rejection.
         bnb: BnbConfig::paper(),
         ..ServerConfig::default()
     };
     let server = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &config).expect("starts");
     let addr = server.listen_addr().clone();
 
+    // Distinct n=13 btsp-hard queries: each cold search outlasts the
+    // microseconds the burst takes to submit, as in the server's own
+    // full-queue test; n=10 searches can finish between two arrivals.
     let burst = 8usize;
     let instances: Vec<_> =
-        (0..burst).map(|seed| generate(Family::BtspHard, 10, 90 + seed as u64)).collect();
+        (0..burst).map(|seed| generate(Family::BtspHard, 13, 90 + seed as u64)).collect();
     let barrier = Barrier::new(burst);
     let responses: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = instances

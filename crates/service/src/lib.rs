@@ -35,9 +35,10 @@
 //!   to proven-optimal plans on a background worker pool that upgrades
 //!   the cache entry in place; [`ServedPlan::tier`] and
 //!   [`ServedPlan::optimality_gap`] report what a response is worth.
-//! * [`optimize_batch`] / [`plan_batch`] — drain a request queue across
-//!   a worker pool sharing one planner, returning results in **request
-//!   order** regardless of worker scheduling.
+//! * [`plan_batch`] — drains a request queue across a worker pool
+//!   sharing one planner (for a cache-backed batch, a [`CachedPlanner`]),
+//!   returning results in **request order** regardless of worker
+//!   scheduling.
 //! * **Multi-probe lookup** ([`CacheConfig::probes`]) — with two probes,
 //!   a primary-grid miss additionally probes a half-bucket-shifted
 //!   quantization grid, so a parameter walking across one bucket
@@ -71,7 +72,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 pub mod breaker;
 mod cache;
 pub mod membership;
@@ -79,7 +79,6 @@ mod planner;
 pub mod ring;
 mod tiered;
 
-pub use batch::{optimize_batch, BatchOptions};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{
     CacheConfig, CacheStats, PendingServe, PlanCache, PlanTier, Probe, RestoreError, ServeSource,

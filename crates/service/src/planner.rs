@@ -564,8 +564,44 @@ impl Planner for FleetPlanner<'_> {
 /// worker threads, returning one result per request **in request
 /// order**. The queue is a shared index into `requests`, drained until
 /// empty, so an expensive request never blocks the others (no static
-/// partitioning); see [`optimize_batch`](crate::optimize_batch) for the
-/// determinism caveats when the planner is cache-backed.
+/// partitioning).
+///
+/// With a [`CachedPlanner`], concurrent misses on one fingerprint share a
+/// single search (the cache's single-flight), so an exact-duplicate group
+/// costs exactly one cold search and its other requests hit. Which
+/// request of the group arrives first and pays that search depends on
+/// scheduling, so the per-request [`ServeSource`] attribution and search
+/// statistics are not deterministic, though the counts are; for
+/// **exact-duplicate** requests neither plans nor costs can vary, but
+/// near-identical requests sharing a fingerprint may be served the plan
+/// of whichever occurrence won the race — any such plan has passed
+/// exact-instance validation, i.e. it is within the cache's tolerance,
+/// not necessarily the same bits across runs.
+///
+/// # Examples
+///
+/// ```
+/// use dsq_core::{BnbConfig, CommMatrix, QueryInstance, Service};
+/// use dsq_service::{plan_batch, CacheConfig, CachedPlanner, PlanCache};
+/// use std::num::NonZeroUsize;
+///
+/// let cache = PlanCache::new(CacheConfig::default());
+/// let requests: Vec<QueryInstance> = (0..6)
+///     .map(|k| {
+///         QueryInstance::from_parts(
+///             vec![Service::new(1.0, 0.4), Service::new(0.5 + 0.1 * (k % 2) as f64, 0.8)],
+///             CommMatrix::uniform(2, 0.2),
+///         )
+///         .unwrap()
+///     })
+///     .collect();
+/// // One worker serves the requests in order, so exactly the first
+/// // occurrence of each of the two shapes misses.
+/// let planner = CachedPlanner::new(&cache, BnbConfig::paper());
+/// let results = plan_batch(&planner, &requests, NonZeroUsize::new(1).unwrap());
+/// assert_eq!(results.len(), 6);
+/// assert_eq!(cache.stats().hits, 4, "repeated shapes hit the cache");
+/// ```
 pub fn plan_batch<P: Planner + ?Sized>(
     planner: &P,
     requests: &[QueryInstance],
@@ -905,6 +941,72 @@ mod tests {
             assert_eq!(served.cost.to_bits(), optimize(request).cost().to_bits());
         }
         assert!(plan_batch(&planner, &[], NonZeroUsize::new(4).expect("non-zero")).is_empty());
+    }
+
+    /// A cached batch: a handful of distinct clustered shapes, cycled.
+    fn cached_requests(n: usize, count: usize) -> Vec<QueryInstance> {
+        (0..count).map(|k| generate(Family::Clustered, n, (k % 3) as u64)).collect()
+    }
+
+    /// Serves `requests` through `cache` with `workers` workers.
+    fn plan_cached(
+        cache: &PlanCache,
+        requests: &[QueryInstance],
+        workers: usize,
+    ) -> Vec<ServedPlan> {
+        let planner = CachedPlanner::new(cache, BnbConfig::paper());
+        plan_batch(&planner, requests, NonZeroUsize::new(workers).expect("non-zero"))
+            .into_iter()
+            .map(|result| result.expect("cached planners are infallible"))
+            .collect()
+    }
+
+    #[test]
+    fn cached_batch_is_in_request_order_and_searches_each_shape_once() {
+        let cache = PlanCache::new(CacheConfig::default());
+        let batch = cached_requests(7, 12);
+        let results = plan_cached(&cache, &batch, 4);
+        assert_eq!(results.len(), batch.len());
+        for (inst, served) in batch.iter().zip(&results) {
+            let fresh = optimize(inst);
+            assert_eq!(served.cost.to_bits(), fresh.cost().to_bits());
+            assert_eq!(&served.plan, fresh.plan());
+        }
+        // 3 distinct shapes across 12 requests. Workers racing the same
+        // not-yet-cached fingerprint wait for the one search in flight
+        // and then hit, so exactly one cold search runs per shape.
+        let stats = cache.stats();
+        assert_eq!(stats.requests(), 12);
+        assert_eq!((stats.misses, stats.hits, stats.warm_starts), (3, 9, 0));
+    }
+
+    #[test]
+    fn cached_batch_plans_do_not_depend_on_the_worker_count() {
+        let batch = cached_requests(6, 10);
+        let reference = plan_cached(&PlanCache::new(CacheConfig::default()), &batch, 1);
+        for workers in [2usize, 4, 8] {
+            let results = plan_cached(&PlanCache::new(CacheConfig::default()), &batch, workers);
+            for (a, b) in reference.iter().zip(&results) {
+                assert_eq!(a.plan, b.plan, "workers = {workers}");
+                assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+                assert_eq!(a.fingerprint, b.fingerprint);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_empty_batch_is_a_no_op() {
+        let cache = PlanCache::new(CacheConfig::default());
+        assert!(plan_cached(&cache, &[], 4).is_empty());
+        assert_eq!(cache.stats().requests(), 0);
+    }
+
+    #[test]
+    fn cached_batch_of_one_request_serves_it_cold() {
+        let cache = PlanCache::new(CacheConfig::default());
+        let results = plan_cached(&cache, &cached_requests(5, 1), 8);
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].source, ServeSource::Cold);
     }
 
     #[test]

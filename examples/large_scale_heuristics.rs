@@ -44,11 +44,22 @@ fn main() {
         simulated_annealing(&instance, &AnnealingConfig { steps: 60_000, ..Default::default() });
     record("simulated annealing", sa.cost(), t0.elapsed());
 
-    // Budgeted exact search: seeds with greedy, explores until the node
-    // budget is spent, returns the incumbent (a proven optimum only if it
-    // finished — it won't at this size).
+    // Budgeted exact search: warm-started from the best heuristic plan
+    // above, it explores until the node budget is spent and returns the
+    // incumbent, a proven optimum only if the search finished first.
+    let seed = [
+        (sample.cost(), sample.plan()),
+        (greedy.cost(), greedy.plan()),
+        (ls.cost(), ls.plan()),
+        (sa.cost(), sa.plan()),
+    ]
+    .into_iter()
+    .min_by(|a, b| a.0.total_cmp(&b.0))
+    .expect("four heuristics ran")
+    .1
+    .clone();
     let t0 = Instant::now();
-    let cfg = BnbConfig::extended().with_node_limit(200_000);
+    let cfg = BnbConfig::paper().with_node_limit(200_000).with_initial_incumbent(seed);
     let bnb = optimize_with(&instance, &cfg);
     record(
         if bnb.is_proven_optimal() { "B&B (complete!)" } else { "B&B (budgeted)" },

@@ -20,13 +20,12 @@ use service_ordering::workloads::{generate, random_dag, Family};
 use std::num::NonZeroUsize;
 
 /// The ablation presets the switch must leave answer-identical.
-fn presets() -> [(&'static str, BnbConfig); 5] {
+fn presets() -> [(&'static str, BnbConfig); 4] {
     [
         ("paper", BnbConfig::paper()),
         ("incumbent_only", BnbConfig::incumbent_only()),
         ("without_backjump", BnbConfig::without_backjump()),
         ("without_epsilon_bar", BnbConfig::without_epsilon_bar()),
-        ("extended", BnbConfig::extended()),
     ]
 }
 
@@ -200,20 +199,4 @@ fn the_prefix_product_comparison_keeps_an_ulp_cheaper_prefix() {
     assert_eq!(plain.cost(), 1.6884009605204933);
     assert!(dominated.stats().prunes_dominated > 0, "the instance must exercise the probe");
     assert_identical(&plain, &dominated, "ProliferativeMix n=8 seed=10");
-}
-
-/// ProliferativeMix n=10 seeds 5 and 127: `extended`'s lower bound, had
-/// it not been scaled down by a few ulp when some `σ < 1`, prunes a node
-/// whose subtree holds a plan one ulp cheaper than `ρ`. Dominance
-/// assumes every prune is exact, so with that bound it changed the plan
-/// `extended` returns (seed 5) or its cost bits (seed 127).
-#[test]
-fn the_lower_bound_stays_below_the_searched_costs() {
-    for seed in [5, 127] {
-        let inst = generate(Family::ProliferativeMix, 10, seed);
-        let plain = optimize_with(&inst, &BnbConfig::extended());
-        let dominated = optimize_with(&inst, &with_dominance(&BnbConfig::extended()));
-        assert!(dominated.stats().prunes_dominated > 0, "seed {seed} must exercise the probe");
-        assert_identical(&plain, &dominated, &format!("ProliferativeMix n=10 seed={seed}"));
-    }
 }

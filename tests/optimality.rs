@@ -17,7 +17,6 @@ fn bnb_matches_exact_methods_on_all_families() {
         BnbConfig::incumbent_only(),
         BnbConfig::without_epsilon_bar(),
         BnbConfig::without_backjump(),
-        BnbConfig::extended(),
     ];
     let points = Sweep::new().families(Family::ALL).sizes([3, 5, 7]).seeds(0..4).build();
     for point in points {

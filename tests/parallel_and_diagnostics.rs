@@ -1,6 +1,7 @@
 //! Cross-crate checks of the parallel optimizer and the plan-diagnostics
 //! report against the workload families.
 
+use service_ordering::baselines::{greedy, GreedyKind};
 use service_ordering::core::{
     bottleneck_cost, explain, optimize, optimize_parallel, sum_cost, BnbConfig,
 };
@@ -41,7 +42,9 @@ fn parallel_respects_precedence() {
             .precedence(random_dag(8, 0.3, seed))
             .build()
             .expect("valid");
-        let result = optimize_parallel(&inst, &BnbConfig::extended(), threads(2));
+        let seeded = BnbConfig::paper()
+            .with_initial_incumbent(greedy(&inst, GreedyKind::MinTransfer).plan().clone());
+        let result = optimize_parallel(&inst, &seeded, threads(2));
         assert!(result.plan().satisfies(inst.precedence().expect("present")));
         assert!((result.cost() - optimize(&inst).cost()).abs() <= 1e-9 * result.cost().max(1.0));
     }
