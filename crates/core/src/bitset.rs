@@ -1,9 +1,11 @@
 //! A small fixed-capacity bit set.
 //!
-//! The optimizer tracks which services are already placed in a partial plan
-//! and which predecessors a service waits on. Plans never exceed a few
-//! hundred services, so a `Vec<u64>`-backed set is both compact and fast,
-//! and avoids pulling in an external dependency.
+//! The model tracks which predecessors a service waits on, the heuristics
+//! which services a partial plan has placed. The branch-and-bound search
+//! keeps its placed set in one `u64` word up to 64 services and in a
+//! `BitSet` beyond (see [`ServiceSet`](crate::bnb::ServiceSet)). Plans
+//! never exceed a few hundred services, so a `Vec<u64>`-backed set is both
+//! compact and fast, and avoids pulling in an external dependency.
 
 /// Fixed-capacity set of small indices backed by `u64` words.
 ///
@@ -103,26 +105,6 @@ impl BitSet {
     pub fn is_superset_of(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
         self.words.iter().zip(&other.words).all(|(a, b)| b & !a == 0)
-    }
-
-    /// Inserts every index `0..capacity` at once (word-level fill).
-    pub fn insert_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = !0);
-        self.mask_tail();
-    }
-
-    /// Zeroes the bits of the last word that lie beyond `capacity`, so
-    /// whole-word operations never materialize out-of-capacity indices.
-    fn mask_tail(&mut self) {
-        let tail = self.capacity % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        } else if self.capacity == 0 {
-            // Capacity 0 still allocates one (permanently empty) word.
-            self.words[0] = 0;
-        }
     }
 
     /// Iterates over the indices in ascending order.
@@ -314,13 +296,11 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_usable() {
-        let mut s = BitSet::new(0);
+        let s = BitSet::new(0);
         assert!(s.is_empty());
         assert!(!s.contains(0));
         assert_eq!(s.iter().count(), 0);
         assert_eq!(s.iter_unset().count(), 0);
-        s.insert_all();
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -335,19 +315,6 @@ mod tests {
             assert_eq!(set, (0..cap).filter(|i| i % 3 == 0).collect::<Vec<_>>());
             assert_eq!(unset, (0..cap).filter(|i| i % 3 != 0).collect::<Vec<_>>());
             assert_eq!(set.len() + unset.len(), cap);
-        }
-    }
-
-    #[test]
-    fn insert_all_fills_to_capacity_only() {
-        for cap in [1usize, 63, 64, 65, 128, 130] {
-            let mut s = BitSet::new(cap);
-            s.insert_all();
-            assert_eq!(s.len(), cap, "capacity {cap}");
-            assert_eq!(s.iter().collect::<Vec<_>>(), (0..cap).collect::<Vec<_>>());
-            assert_eq!(s.iter_unset().count(), 0);
-            // Word-level fill must not create phantom out-of-capacity bits.
-            assert!(!s.contains(cap));
         }
     }
 

@@ -60,7 +60,10 @@ pub struct BnbConfig {
     /// every completion of this node costs at least as much as the same
     /// completion of the earlier one, which the search has already
     /// explored or proven `≥ ρ`; the node is pruned with a plain
-    /// backtrack.
+    /// backtrack. Once the earlier node's subtree has been searched to the
+    /// end while its `ε' < ρ` (its record is *closed*), every completion
+    /// reached `ρ` in a term after the prefix, so `p' ≤ p` alone prunes,
+    /// whatever this node's `ε`.
     ///
     /// The prefix product is compared as well as `ε` because floating
     /// point is not associative: two orders of the same set give products
@@ -74,8 +77,8 @@ pub struct BnbConfig {
     /// the same configuration without the switch, and only the node
     /// counts change ([`SearchStats::prunes_dominated`](crate::SearchStats::prunes_dominated)).
     ///
-    /// The table is a fixed 2¹³-slot direct-mapped cache reused per
-    /// thread, so a collision only loses a prune. It needs `n ≤ 58` (the
+    /// The table is a fixed 2¹³-slot direct-mapped cache of 32-byte slots
+    /// reused per thread, so a collision only loses a prune. It needs `n ≤ 58` (the
     /// key is the placed set and the last service packed in 64 bits); on
     /// larger instances the switch has no effect. Off in
     /// [`paper`](Self::paper); the serving daemon turns it on.

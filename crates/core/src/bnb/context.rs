@@ -18,9 +18,13 @@
 //!   head of the row is unplaced, `O(depth)` worst case when the search
 //!   has placed exactly the row's most expensive entries — instead of an
 //!   unconditional `O(n)` loop.
-//! * [`IncrementalBounds`] — the mutable per-worker state: the placed /
-//!   remaining sets plus a stack of the inflation product (`Π σ>1` over
-//!   remaining), updated in `O(1)` on [`push`](IncrementalBounds::push)
+//! * [`IncrementalBounds`] — the mutable per-worker state: the placed set
+//!   as one [`ServiceSet`] (a single `u64` word for instances of at most
+//!   64 services, so the placed check, the remaining-set walk and the
+//!   dominance key are word operations; a [`BitSet`] beyond; the remaining
+//!   set is its complement within `n`) plus a stack of the inflation
+//!   product (`Π σ>1` over remaining), updated in `O(1)` on
+//!   [`push`](IncrementalBounds::push)
 //!   and restored **exactly** on [`pop`](IncrementalBounds::pop) (pops
 //!   truncate the stack rather than multiplying back, so no rounding
 //!   error accumulates across backtracks; only the divisions along the
@@ -34,7 +38,128 @@
 
 use crate::bitset::BitSet;
 use crate::instance::QueryInstance;
+use std::fmt;
 use std::ops::ControlFlow;
+
+/// A set of service indices `0..n` as the search state holds it.
+///
+/// The search is generic over it so that one search loop serves every
+/// instance size: instances of at most 64 services use a single `u64`
+/// word (bit `j` set iff `j` is a member), larger ones a [`BitSet`].
+/// Exported with [`IncrementalBounds`]; not a stability-guaranteed API.
+pub trait ServiceSet: Clone + fmt::Debug {
+    /// The empty set over `n` services.
+    ///
+    /// # Panics
+    ///
+    /// The `u64` set panics if `n > 64`.
+    fn empty(n: usize) -> Self;
+    /// The members of `set`, a set over the same `n` services.
+    fn from_bitset(set: &BitSet) -> Self;
+    /// Whether `j` is a member.
+    fn contains(&self, j: usize) -> bool;
+    /// Adds `j`.
+    fn insert(&mut self, j: usize);
+    /// Removes `j`.
+    fn remove(&mut self, j: usize);
+    /// Removes every member.
+    fn clear(&mut self);
+    /// Whether every member of `other` is a member of `self`.
+    fn includes(&self, other: &Self) -> bool;
+    /// The services of `0..n` that are **not** members, ascending.
+    fn absent(&self, n: usize) -> impl Iterator<Item = usize> + '_;
+    /// Members `0..64` as a bit mask (the whole set when `n ≤ 64`).
+    fn low_word(&self) -> u64;
+}
+
+impl ServiceSet for u64 {
+    fn empty(n: usize) -> Self {
+        assert!(n <= 64, "a one-word set holds at most 64 services, not {n}");
+        0
+    }
+
+    fn from_bitset(set: &BitSet) -> Self {
+        debug_assert!(set.capacity() <= 64, "a one-word set holds at most 64 services");
+        set.low_word()
+    }
+
+    #[inline]
+    fn contains(&self, j: usize) -> bool {
+        *self >> j & 1 != 0
+    }
+
+    #[inline]
+    fn insert(&mut self, j: usize) {
+        *self |= 1 << j;
+    }
+
+    #[inline]
+    fn remove(&mut self, j: usize) {
+        *self &= !(1 << j);
+    }
+
+    fn clear(&mut self) {
+        *self = 0;
+    }
+
+    #[inline]
+    fn includes(&self, other: &Self) -> bool {
+        other & !self == 0
+    }
+
+    #[inline]
+    fn absent(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut rest = !self & (u64::MAX >> (64 - n));
+        std::iter::from_fn(move || {
+            let j = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some(j)
+        })
+    }
+
+    fn low_word(&self) -> u64 {
+        *self
+    }
+}
+
+impl ServiceSet for BitSet {
+    fn empty(n: usize) -> Self {
+        BitSet::new(n)
+    }
+
+    fn from_bitset(set: &BitSet) -> Self {
+        set.clone()
+    }
+
+    fn contains(&self, j: usize) -> bool {
+        BitSet::contains(self, j)
+    }
+
+    fn insert(&mut self, j: usize) {
+        BitSet::insert(self, j);
+    }
+
+    fn remove(&mut self, j: usize) {
+        BitSet::remove(self, j);
+    }
+
+    fn clear(&mut self) {
+        BitSet::clear(self);
+    }
+
+    fn includes(&self, other: &Self) -> bool {
+        self.is_superset_of(other)
+    }
+
+    fn absent(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        debug_assert_eq!(n, self.capacity());
+        self.iter_unset()
+    }
+
+    fn low_word(&self) -> u64 {
+        BitSet::low_word(self)
+    }
+}
 
 /// Immutable, cache-friendly snapshot of a [`QueryInstance`] for the
 /// branch-and-bound search: flat parameter arrays plus pre-sorted per-row
@@ -88,14 +213,16 @@ impl SearchContext {
         let stride = n.saturating_sub(1);
         let mut succ_asc = Vec::with_capacity(n * stride);
         let mut succ_desc = Vec::with_capacity(n * stride);
+        let mut row: Vec<u32> = Vec::with_capacity(stride);
         for u in 0..n {
-            let mut row: Vec<u32> = (0..n as u32).filter(|&j| j as usize != u).collect();
-            row.sort_by(|&a, &b| {
-                transfer[u * n + a as usize].total_cmp(&transfer[u * n + b as usize])
-            });
+            let t = &transfer[u * n..(u + 1) * n];
+            row.clear();
+            row.extend((0..n as u32).filter(|&j| j as usize != u));
+            // Ties by index: the order a stable sort of the ascending
+            // indices gives, without its scratch allocation.
+            row.sort_unstable_by(|&a, &b| t[a as usize].total_cmp(&t[b as usize]).then(a.cmp(&b)));
             succ_asc.extend_from_slice(&row);
-            row.reverse();
-            succ_desc.extend_from_slice(&row);
+            succ_desc.extend(row.iter().rev());
         }
 
         let mut total_inflation = 1.0;
@@ -175,15 +302,15 @@ impl SearchContext {
         &self.succ_desc[u * stride..(u + 1) * stride]
     }
 
-    /// `max_{l ∈ remaining, l ≠ u} t_{u,l}`: first remaining entry of the
+    /// `max_{l ∉ placed, l ≠ u} t_{u,l}`: first unplaced entry of the
     /// descending row — `O(1)` while the head of the row is unplaced,
     /// `O(#placed)` worst case — or `0.0` when no such `l` exists
     /// (transfers are non-negative, so the `0.0` floor is absorbed by the
     /// caller's `max`).
     #[inline]
-    pub fn max_transfer_to(&self, u: usize, remaining: &BitSet) -> f64 {
+    pub fn max_transfer_to<S: ServiceSet>(&self, u: usize, placed: &S) -> f64 {
         for &l in self.successors_descending(u) {
-            if remaining.contains(l as usize) {
+            if !placed.contains(l as usize) {
                 return self.transfer[u * self.n + l as usize];
             }
         }
@@ -208,9 +335,9 @@ impl SearchContext {
     /// itself only needs the comparison `ε ≥ ε̄`, which
     /// [`epsilon_bar_closes`](Self::epsilon_bar_closes) decides without
     /// evaluating every term.
-    pub fn epsilon_bar(
+    pub fn epsilon_bar<S: ServiceSet>(
         &self,
-        state: &IncrementalBounds,
+        state: &IncrementalBounds<S>,
         last: usize,
         prefix_last: f64,
         tight: bool,
@@ -235,9 +362,10 @@ impl SearchContext {
     /// decision equals `eps >= epsilon_bar(..)` for every input, NaN
     /// terms included. In the search almost every open node is decided by
     /// its first term, making the test `O(1)` per node in practice.
-    pub fn epsilon_bar_closes(
+    #[inline]
+    pub fn epsilon_bar_closes<S: ServiceSet>(
         &self,
-        state: &IncrementalBounds,
+        state: &IncrementalBounds<S>,
         last: usize,
         prefix_last: f64,
         tight: bool,
@@ -260,26 +388,26 @@ impl SearchContext {
     /// service's term first, then one per remaining service in ascending
     /// index order — until `visit` breaks.
     #[inline]
-    fn try_for_each_epsilon_term(
+    fn try_for_each_epsilon_term<S: ServiceSet>(
         &self,
-        state: &IncrementalBounds,
+        state: &IncrementalBounds<S>,
         last: usize,
         prefix_last: f64,
         tight: bool,
         mut visit: impl FnMut(f64) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let remaining = state.remaining();
-        debug_assert!(!remaining.is_empty(), "ε̄ is only defined for incomplete plans");
+        let placed = state.placed();
+        debug_assert!(state.placed_len() < self.n, "ε̄ is only defined for incomplete plans");
         let max_t_last =
-            if tight { self.max_transfer_to(last, remaining) } else { self.row_max[last] };
+            if tight { self.max_transfer_to(last, placed) } else { self.row_max[last] };
         visit(prefix_last * (self.cost[last] + self.selectivity[last] * max_t_last))?;
 
         let p = prefix_last * self.selectivity[last];
         let inflation = state.inflation();
-        for j in remaining.iter() {
+        for j in state.unplaced() {
             let sigma_j = self.selectivity[j];
             let max_out = if tight {
-                self.sink[j].max(self.max_transfer_to(j, remaining))
+                self.sink[j].max(self.max_transfer_to(j, placed))
             } else {
                 self.row_max[j]
             };
@@ -290,8 +418,9 @@ impl SearchContext {
     }
 }
 
-/// Incrementally-maintained search-path state: placed/remaining sets and
-/// the inflation product `Π σ>1` over the remaining services.
+/// Incrementally-maintained search-path state: the placed set (the
+/// remaining set is its complement within `n`) and the inflation product
+/// `Π σ>1` over the remaining services.
 ///
 /// The product is kept as a **stack** aligned with the search path: a
 /// [`push`](Self::push) appends one value derived from the previous top in
@@ -299,33 +428,27 @@ impl SearchContext {
 /// bit-for-bit. Exported alongside [`SearchContext`] for benchmarks; not a
 /// stability-guaranteed API.
 #[derive(Debug, Clone)]
-pub struct IncrementalBounds {
-    placed: BitSet,
-    remaining: BitSet,
+pub struct IncrementalBounds<S> {
+    n: usize,
+    placed: S,
     /// `inflation[d]` = `Π σ>1` over the remaining services after `d`
     /// pushes.
     inflation: Vec<f64>,
 }
 
-impl IncrementalBounds {
+impl<S: ServiceSet> IncrementalBounds<S> {
     /// Fresh state over `ctx`: nothing placed, everything remaining.
     pub fn new(ctx: &SearchContext) -> Self {
         let n = ctx.len();
-        let mut state = IncrementalBounds {
-            placed: BitSet::new(n),
-            remaining: BitSet::new(n),
-            inflation: Vec::with_capacity(n + 1),
-        };
-        state.reset(ctx);
-        state
+        let mut inflation = Vec::with_capacity(n + 1);
+        inflation.push(ctx.total_inflation);
+        IncrementalBounds { n, placed: S::empty(n), inflation }
     }
 
     /// Returns to the nothing-placed state in `O(n / 64)`.
-    pub fn reset(&mut self, ctx: &SearchContext) {
+    pub fn reset(&mut self) {
         self.placed.clear();
-        self.remaining.insert_all();
-        self.inflation.clear();
-        self.inflation.push(ctx.total_inflation);
+        self.inflation.truncate(1);
     }
 
     /// Marks `j` placed, dividing its selectivity out of the remaining
@@ -334,7 +457,6 @@ impl IncrementalBounds {
     pub fn push(&mut self, ctx: &SearchContext, j: usize) {
         debug_assert!(!self.placed.contains(j), "push of already-placed service {j}");
         self.placed.insert(j);
-        self.remaining.remove(j);
         let s = ctx.selectivity[j];
         let top = self.inflation();
         self.inflation.push(if s > 1.0 { top / s } else { top });
@@ -347,7 +469,6 @@ impl IncrementalBounds {
         debug_assert!(self.placed.contains(j), "pop of unplaced service {j}");
         debug_assert!(self.inflation.len() > 1, "pop without matching push");
         self.placed.remove(j);
-        self.remaining.insert(j);
         self.inflation.pop();
     }
 
@@ -357,16 +478,18 @@ impl IncrementalBounds {
         self.placed.contains(j)
     }
 
-    /// The placed set (for precedence-readiness checks).
+    /// The placed set (for precedence-readiness checks and the dominance
+    /// key).
     #[inline]
-    pub fn placed(&self) -> &BitSet {
+    pub fn placed(&self) -> &S {
         &self.placed
     }
 
-    /// The remaining set `R` (complement of placed).
+    /// The remaining services (the complement of the placed set),
+    /// ascending.
     #[inline]
-    pub fn remaining(&self) -> &BitSet {
-        &self.remaining
+    pub fn unplaced(&self) -> impl Iterator<Item = usize> + '_ {
+        self.placed.absent(self.n)
     }
 
     /// Number of placed services.
@@ -438,32 +561,32 @@ mod tests {
 
     /// Compares every incremental quantity against the closed-form
     /// oracles at the current search position.
-    fn check_against_reference(
+    fn check_against_reference<S: ServiceSet>(
         inst: &QueryInstance,
         ctx: &SearchContext,
-        state: &IncrementalBounds,
+        state: &IncrementalBounds<S>,
         plan: &[usize],
         row_max: &[f64],
     ) {
         let n = inst.len();
-        let placed = state.placed();
+        let mut placed = BitSet::new(n);
+        plan.iter().for_each(|&j| {
+            placed.insert(j);
+        });
         assert_eq!(state.placed_len(), plan.len());
         for j in 0..n {
-            assert_eq!(placed.contains(j), plan.contains(&j), "placed set tracks the plan");
-            assert_eq!(
-                state.remaining().contains(j),
-                !plan.contains(&j),
-                "remaining is the complement"
-            );
+            assert_eq!(state.is_placed(j), plan.contains(&j), "placed set tracks the plan");
         }
+        let unplaced: Vec<usize> = state.unplaced().collect();
+        assert_eq!(unplaced, placed.iter_unset().collect::<Vec<_>>(), "the complement, ascending");
 
-        assert_within(state.inflation(), reference_inflation(inst, placed), "inflation");
+        assert_within(state.inflation(), reference_inflation(inst, &placed), "inflation");
 
         // Row maxima over the remaining set are exact (same floats, found
         // through the sorted rows instead of a scan).
         for u in 0..n {
-            let max_ref = reference_row_max(inst, placed, u);
-            assert_eq!(ctx.max_transfer_to(u, state.remaining()), max_ref, "row {u} max");
+            let max_ref = reference_row_max(inst, &placed, u);
+            assert_eq!(ctx.max_transfer_to(u, state.placed()), max_ref, "row {u} max");
         }
 
         // Full `ε̄`, against the retained closed-form implementation.
@@ -475,7 +598,7 @@ mod tests {
             }
             for tight in [true, false] {
                 let fast = ctx.epsilon_bar(state, last, prefix_last, tight);
-                let slow = bounds::epsilon_bar(inst, placed, last, prefix_last, tight, row_max);
+                let slow = bounds::epsilon_bar(inst, &placed, last, prefix_last, tight, row_max);
                 assert_within(fast, slow, &format!("ε̄ tight={tight}"));
             }
         }
@@ -485,7 +608,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
         /// Random push/pop/rewind walks: the incremental engine tracks the
-        /// closed-form oracles at every step, in both selectivity regimes.
+        /// closed-form oracles at every step, in both selectivity regimes,
+        /// with the one-word set and the [`BitSet`] moving in lockstep.
         #[test]
         fn incremental_engine_matches_reference_oracles(
             seed in 0u64..u64::MAX,
@@ -497,44 +621,47 @@ mod tests {
             let inst = random_instance(&mut rng, n, proliferative == 1);
             let ctx = SearchContext::new(&inst);
             let row_max = bounds::row_maxima(&inst);
-            let mut state = IncrementalBounds::new(&ctx);
+            let mut word = IncrementalBounds::<u64>::new(&ctx);
+            let mut wide = IncrementalBounds::<BitSet>::new(&ctx);
             let mut plan: Vec<usize> = Vec::new();
 
-            check_against_reference(&inst, &ctx, &state, &plan, &row_max);
+            check_against_reference(&inst, &ctx, &word, &plan, &row_max);
+            check_against_reference(&inst, &ctx, &wide, &plan, &row_max);
             for _ in 0..steps {
-                match rng.gen_range(0..4u32) {
+                let pops = match rng.gen_range(0..4u32) {
                     // Push a random unplaced service.
                     0 | 1 => {
                         if plan.len() < n {
-                            let unplaced: Vec<usize> = state.remaining().iter().collect();
+                            let unplaced: Vec<usize> = word.unplaced().collect();
                             let j = unplaced[rng.gen_range(0..unplaced.len())];
-                            state.push(&ctx, j);
+                            word.push(&ctx, j);
+                            wide.push(&ctx, j);
                             plan.push(j);
                         }
+                        0
                     }
                     // Pop the most recent service.
-                    2 => {
-                        if let Some(j) = plan.pop() {
-                            state.pop(j);
-                        }
-                    }
+                    2 => usize::from(!plan.is_empty()),
                     // Rewind (multi-level truncation, as after Lemma 3).
                     _ => {
-                        if !plan.is_empty() {
-                            let keep = rng.gen_range(0..plan.len());
-                            while plan.len() > keep {
-                                state.pop(plan.pop().unwrap());
-                            }
-                        }
+                        if plan.is_empty() { 0 } else { plan.len() - rng.gen_range(0..plan.len()) }
                     }
+                };
+                for _ in 0..pops {
+                    let j = plan.pop().unwrap();
+                    word.pop(j);
+                    wide.pop(j);
                 }
-                check_against_reference(&inst, &ctx, &state, &plan, &row_max);
+                check_against_reference(&inst, &ctx, &word, &plan, &row_max);
+                check_against_reference(&inst, &ctx, &wide, &plan, &row_max);
             }
 
             // A reset must return to the pristine state.
-            state.reset(&ctx);
+            word.reset();
+            wide.reset();
             plan.clear();
-            check_against_reference(&inst, &ctx, &state, &plan, &row_max);
+            check_against_reference(&inst, &ctx, &word, &plan, &row_max);
+            check_against_reference(&inst, &ctx, &wide, &plan, &row_max);
         }
     }
 
@@ -561,11 +688,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let inst = random_instance(&mut rng, n, proliferative == 1);
             let ctx = SearchContext::new(&inst);
-            let mut state = IncrementalBounds::new(&ctx);
+            let mut state = IncrementalBounds::<u64>::new(&ctx);
             let mut plan: Vec<usize> = Vec::new();
             for _ in 0..steps {
                 if plan.len() + 1 < n && (plan.is_empty() || rng.gen_bool(0.6)) {
-                    let unplaced: Vec<usize> = state.remaining().iter().collect();
+                    let unplaced: Vec<usize> = state.unplaced().collect();
                     let j = unplaced[rng.gen_range(0..unplaced.len())];
                     state.push(&ctx, j);
                     plan.push(j);
@@ -590,6 +717,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn word_and_bit_sets_agree_up_to_a_full_word() {
+        for n in [1usize, 2, 63, 64] {
+            let mut word = u64::empty(n);
+            let mut wide = BitSet::empty(n);
+            for j in (0..n).step_by(3).chain([n - 1]) {
+                ServiceSet::insert(&mut word, j);
+                ServiceSet::insert(&mut wide, j);
+            }
+            ServiceSet::remove(&mut word, 0);
+            ServiceSet::remove(&mut wide, 0);
+            let absent: Vec<usize> = word.absent(n).collect();
+            assert_eq!(absent, wide.absent(n).collect::<Vec<_>>(), "n = {n}");
+            assert_eq!(word, ServiceSet::low_word(&wide), "n = {n}");
+            assert_eq!(u64::from_bitset(&wide), word);
+            for j in 0..n {
+                assert_eq!(ServiceSet::contains(&word, j), !absent.contains(&j));
+            }
+            let (mut last, mut wide_last) = (u64::empty(n), BitSet::empty(n));
+            ServiceSet::insert(&mut last, n - 1);
+            ServiceSet::insert(&mut wide_last, n - 1);
+            assert_eq!(word.includes(&last), wide.includes(&wide_last));
+            assert_eq!(last.includes(&word), wide_last.includes(&wide));
+            ServiceSet::clear(&mut word);
+            assert_eq!(word.absent(n).count(), n);
         }
     }
 
@@ -644,7 +799,8 @@ mod tests {
         let ctx = SearchContext::new(&inst);
         assert_eq!(ctx.successors_ascending(0).len(), 0);
         assert_eq!(ctx.row_max(0), 2.0);
-        let state = IncrementalBounds::new(&ctx);
-        assert_eq!(ctx.max_transfer_to(0, state.remaining()), 0.0);
+        let state = IncrementalBounds::<u64>::new(&ctx);
+        assert_eq!(ctx.max_transfer_to(0, state.placed()), 0.0);
+        assert_eq!(state.unplaced().collect::<Vec<_>>(), vec![0]);
     }
 }

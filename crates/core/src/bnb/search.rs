@@ -24,9 +24,14 @@
 //!    record one (greedy feasible completion), update `ρ`, back-jump.
 //! 4. optional prefix dominance (extension, [`BnbConfig::use_dominance`]):
 //!    an earlier node with the same placed set `S` and last service `u`
-//!    had `ε' ≤ ε` and prefix product `p' ≤ p` → prune, plain backtrack.
-//!    Probed only while at least three services remain unplaced; with
-//!    fewer the probe never paid for itself.
+//!    had prefix product `p' ≤ p` and either `ε' ≤ ε` or a **closed**
+//!    record → prune, plain backtrack. A stored node is marked closed
+//!    when it leaves the path with its subtree searched to the end while
+//!    its `ε' < ρ`: its candidate list ran out (the `term_u ≥ ρ` cut-off
+//!    included), or a Lemma-3 rewind resumed at position `b` and it is
+//!    the node of prefix length `b + 1`. Probed, stored and marked only
+//!    while at least three services remain unplaced; with fewer the probe
+//!    never paid for itself.
 //!
 //! Check 3 visits `ε̄`'s terms in order and stops at the first one above
 //! `ε`; the decision is that of the fully evaluated bound.
@@ -64,16 +69,47 @@
 //!   `u` is triggered by a finalized term inside `ε_A`; that term is
 //!   `≥ ρ`, so `ε_B ≥ ρ` and `B` is pruned by check 1 before the probe. A
 //!   back-jump to `u`'s own position skips only successors whose term of
-//!   `u` reaches `ρ`, and `B`'s term of `u` is at least as large.
+//!   `u` reaches `ρ`, and `B`'s term of `u` is at least as large. Either
+//!   way, a back-jump from inside `B`'s own subtree lands above `u` only
+//!   when a term of `B`'s prefix reaches `ρ`, which check 1 catches
+//!   first, so skipping `B` with a plain backtrack resumes where its
+//!   search would have.
 //! * **Warm starts** only lower `ρ`.
 //! * **Precedence.** Feasibility of a completion depends on `S` only.
 //! * **Replay.** [`deterministic_optimum`] runs a fresh searcher, so its
 //!   table starts a fresh generation and holds nothing from the search
-//!   it replays.
+//!   it replays: neither its entries nor its closed marks.
+//!
+//! **Closed records** drop the `ε_A ≤ ε_B` half of the test. When `A`
+//! closes, every completion of `A` has been recorded or shown to cost
+//! `≥ ρ_close`, and `ε_A < ρ_close`, so each completion reaches
+//! `ρ_close` in a term of its unplaced tail — `u`'s own term or a later
+//! one, each `fl(p·x)` with `p` built from `p_A` by the same
+//! multiplications. A later `B` with the same `(S, u)` and `p_B ≥ p_A`
+//! computes every tail term from a product at least as large, so every
+//! completion of `B` costs `≥ ρ_close ≥ ρ` whatever `ε_B` is. The mark is
+//! set only while `A`'s slot still holds `A`'s exact key, `ε` and
+//! product (a colliding node may have taken it). The two closing exits:
+//!
+//! * **Exhausted candidates.** Every child of `A` was searched, skipped
+//!   as infeasible, or cut off because its term of `u` — and every later
+//!   candidate's, in cheapest-transfer-first order — reaches `ρ`.
+//! * **Lemma 3's resume node.** A rewind to position `b` leaves the node
+//!   of prefix length `b + 1` for good: the child it was searching
+//!   finalized position `b` at `≥ ρ`, so that child's whole subtree costs
+//!   `≥ ρ`, and every untried child would finalize `b` higher still. The
+//!   deeper nodes the jump discards carry that term in their `ε`, so
+//!   `ε ≥ ρ` and they are not marked.
+//!
+//! Lemma-1 prunes, Lemma-2 closures and complete plans (`ε ≥ ρ`, or never
+//! stored) and dominance prunes (never stored) are not marked either.
+//! In [`optimize_parallel`] each worker marks with its own `ρ`, which
+//! only ever falls to the shared one, so "`≥ ρ_close` then" still means
+//! "`≥ ρ`" for that worker's later nodes.
 
 use crate::bitset::BitSet;
 use crate::bnb::config::BnbConfig;
-use crate::bnb::context::{IncrementalBounds, SearchContext};
+use crate::bnb::context::{IncrementalBounds, SearchContext, ServiceSet};
 use crate::bnb::stats::SearchStats;
 use crate::cost::bottleneck_cost;
 use crate::instance::QueryInstance;
@@ -83,6 +119,9 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+/// Instances of at most this many services run the search on a one-word
+/// placed set; larger ones on a [`BitSet`].
+const WORD_MAX_N: usize = 64;
 /// Slots of the dominance table: `2^13` slots of 32 bytes, 256 KiB per
 /// thread whatever the instance size.
 const DOMINANCE_BITS: u32 = 13;
@@ -94,14 +133,21 @@ const DOMINANCE_MAX_N: usize = 58;
 const DOMINANCE_MIN_UNPLACED: usize = 3;
 
 /// One remembered node: its key `S << 6 | u`, its `ε` and prefix
-/// product, and the generation (search) that stored it.
+/// product, the generation (search) that stored it, and whether it left
+/// the path closed.
 #[derive(Debug, Clone, Copy, Default)]
 struct DominanceSlot {
     key: u64,
     eps: f64,
     prefix: f64,
     generation: u32,
+    /// Set when the node left the path with its subtree searched to the
+    /// end and `ε < ρ` (see "Prefix dominance" in the module doc).
+    closed: bool,
 }
+
+// The closed flag fits in the padding: a slot stays 32 bytes.
+const _: () = assert!(std::mem::size_of::<DominanceSlot>() == 32);
 
 /// A direct-mapped table of the latest undominated `(ε, prefix)` per `(S, u)`.
 /// Allocated once per thread and reused: each search stamps its entries
@@ -141,21 +187,43 @@ impl DominanceTable {
         DOMINANCE_TABLE.set(Some(self));
     }
 
-    /// Whether an earlier node of this search with the same `key` had
-    /// `ε` and prefix product no larger than these; if not, remembers
-    /// this node in the key's slot.
+    fn index(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DOMINANCE_BITS)) as usize
+    }
+
+    fn slot(&mut self, key: u64) -> &mut DominanceSlot {
+        &mut self.slots[Self::index(key)]
+    }
+
+    /// Whether an earlier node of this search with the same `key` had a
+    /// prefix product no larger than this one and either an `ε` no larger
+    /// or a closed subtree; if not, remembers this node in the key's slot.
     fn dominated_or_store(&mut self, key: u64, eps: f64, prefix: f64) -> bool {
-        let index = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DOMINANCE_BITS)) as usize;
-        let slot = &mut self.slots[index];
-        if slot.generation == self.generation
+        let generation = self.generation;
+        let slot = self.slot(key);
+        if slot.generation == generation
             && slot.key == key
-            && slot.eps <= eps
             && slot.prefix <= prefix
+            && (slot.closed || slot.eps <= eps)
         {
             return true;
         }
-        *slot = DominanceSlot { key, eps, prefix, generation: self.generation };
+        *slot = DominanceSlot { key, eps, prefix, generation, closed: false };
         false
+    }
+
+    /// Marks the node stored under `key` with exactly this `ε` and prefix
+    /// product closed; a no-op once another node has taken its slot.
+    fn mark_closed(&mut self, key: u64, eps: f64, prefix: f64) {
+        let generation = self.generation;
+        let slot = self.slot(key);
+        if slot.generation == generation
+            && slot.key == key
+            && slot.eps.to_bits() == eps.to_bits()
+            && slot.prefix.to_bits() == prefix.to_bits()
+        {
+            slot.closed = true;
+        }
     }
 }
 
@@ -222,8 +290,13 @@ pub fn optimize(instance: &QueryInstance) -> BnbResult {
 /// interrupts the search, in which case the best plan found so far
 /// is returned with [`BnbResult::is_proven_optimal`] `== false`.
 pub fn optimize_with(instance: &QueryInstance, config: &BnbConfig) -> BnbResult {
+    let started = Instant::now();
     let ctx = SearchContext::new(instance);
-    Searcher::new(instance, &ctx, config.clone()).run()
+    if instance.len() <= WORD_MAX_N {
+        Searcher::<u64>::new(instance, &ctx, config.clone(), started).run()
+    } else {
+        Searcher::<BitSet>::new(instance, &ctx, config.clone(), started).run()
+    }
 }
 
 /// Finds the optimal linear ordering using `threads` worker threads that
@@ -266,8 +339,20 @@ pub fn optimize_parallel(
 ) -> BnbResult {
     let threads = threads.get().min(instance.len().max(1));
     if threads <= 1 || instance.len() <= 2 {
-        return optimize_with(instance, config);
+        optimize_with(instance, config)
+    } else if instance.len() <= WORD_MAX_N {
+        parallel_search::<u64>(instance, config, threads)
+    } else {
+        parallel_search::<BitSet>(instance, config, threads)
     }
+}
+
+/// [`optimize_parallel`] on a placed set of type `S`.
+fn parallel_search<S: ServiceSet>(
+    instance: &QueryInstance,
+    config: &BnbConfig,
+    threads: usize,
+) -> BnbResult {
     let started = Instant::now();
     let next_root = AtomicUsize::new(0);
     // The cache-friendly context (flat parameter arrays, sorted successor
@@ -278,9 +363,10 @@ pub fn optimize_parallel(
     // (workers pull it through the shared cell) and survives as the
     // result if nothing beats it.
     let (roots, incumbent_seed) = {
-        let setup = Searcher::new(instance, &ctx, config.clone());
+        let setup = Searcher::<S>::new(instance, &ctx, config.clone(), started);
         (setup.sorted_roots(), setup.incumbent_seed())
     };
+    let setup = started.elapsed();
     let shared_rho = AtomicU64::new(match &incumbent_seed {
         Some((_, cost)) => cost.to_bits(),
         None => f64::INFINITY.to_bits(),
@@ -297,7 +383,7 @@ pub fn optimize_parallel(
                 let next_root = &next_root;
                 let cfg = config.clone();
                 scope.spawn(move || {
-                    let mut searcher = Searcher::new(instance, ctx, cfg);
+                    let mut searcher = Searcher::<S>::new(instance, ctx, cfg, Instant::now());
                     searcher.shared_rho = Some(shared_rho);
                     loop {
                         let idx = next_root.fetch_add(1, Ordering::Relaxed);
@@ -330,7 +416,7 @@ pub fn optimize_parallel(
         handles.into_iter().map(|h| h.join().expect("worker does not panic")).collect()
     });
 
-    let mut stats = SearchStats { proven_optimal: true, ..SearchStats::default() };
+    let mut stats = SearchStats { proven_optimal: true, setup, ..SearchStats::default() };
     let mut best: Option<(Vec<usize>, f64)> = incumbent_seed;
     for (candidate, worker_stats) in worker_results {
         stats.merge(&worker_stats);
@@ -341,7 +427,7 @@ pub fn optimize_parallel(
         }
     }
     let (mut order, mut cost) = best.unwrap_or_else(|| {
-        let fallback = Searcher::new(instance, &ctx, config.clone());
+        let fallback = Searcher::<S>::new(instance, &ctx, config.clone(), Instant::now());
         let (order, cost) = fallback.greedy_plan().expect("acyclic precedence admits a plan");
         stats.proven_optimal = false;
         (order, cost)
@@ -351,7 +437,7 @@ pub fn optimize_parallel(
         // the race depends on scheduling. Replay the sequential search
         // order with the optimum as a pinned bound to pick the canonical
         // one, so results are reproducible across runs and thread counts.
-        if let Some(canonical) = deterministic_optimum(instance, &ctx, config, cost) {
+        if let Some(canonical) = deterministic_optimum::<S>(instance, &ctx, config, cost) {
             let plan = Plan::new(canonical.clone()).expect("replay produces valid permutations");
             cost = bottleneck_cost(instance, &plan);
             order = canonical;
@@ -371,14 +457,14 @@ pub fn optimize_parallel(
 /// The warm-start seed participates exactly as in the sequential search
 /// so that an already-optimal seed is returned unchanged, keeping warm
 /// and cold results bit-identical.
-fn deterministic_optimum(
+fn deterministic_optimum<S: ServiceSet>(
     instance: &QueryInstance,
     ctx: &SearchContext,
     config: &BnbConfig,
     optimal: f64,
 ) -> Option<Vec<usize>> {
     let cfg = BnbConfig { node_limit: None, ..config.clone() };
-    let mut searcher = Searcher::new(instance, ctx, cfg);
+    let mut searcher = Searcher::<S>::new(instance, ctx, cfg, Instant::now());
     searcher.apply_seed();
     searcher.rho = searcher.rho.min(next_up(optimal));
     searcher.halt_on_candidate = true;
@@ -401,7 +487,9 @@ fn next_up(x: f64) -> f64 {
     f64::from_bits(x.to_bits() + 1)
 }
 
-struct Searcher<'a> {
+/// One search: the path state over a placed set of type `S` (one `u64`
+/// word up to [`WORD_MAX_N`] services, a [`BitSet`] beyond).
+struct Searcher<'a, S> {
     inst: &'a QueryInstance,
     /// Shared immutable search data: flat parameter arrays, sorted
     /// successor rows, loose-mode row maxima. Built once per optimization
@@ -411,14 +499,19 @@ struct Searcher<'a> {
     n: usize,
     // --- mutable search state ---
     plan: Vec<usize>,
-    /// Placed/remaining sets plus the incrementally-maintained
-    /// inflation product feeding `ε̄`.
-    state: IncrementalBounds,
+    /// The placed set plus the incrementally-maintained inflation
+    /// product feeding `ε̄`.
+    state: IncrementalBounds<S>,
+    /// Each service's predecessor set; empty without precedence
+    /// constraints.
+    preds: Vec<S>,
     /// `prefix[k]` = Π σ of `plan[0..k]` (so `prefix[0] == 1`).
     prefix: Vec<f64>,
-    /// `terms[k]` = finalized term of position `k` (`k ≤ plan.len()-2`).
-    terms: Vec<f64>,
-    /// `eps_fin[k]` = running max of `terms[0..=k]`.
+    /// `eps_fin[k]` = the largest finalized term of positions `0..=k`
+    /// (`k ≤ plan.len()-2`); the term of position `k` is fixed once
+    /// position `k + 1` is filled. Non-decreasing, so the earliest
+    /// position whose term reaches `ρ` is the first `k` with
+    /// `eps_fin[k] ≥ ρ`.
     eps_fin: Vec<f64>,
     /// Candidate cursor per level.
     cand_idx: Vec<usize>,
@@ -441,7 +534,7 @@ struct Searcher<'a> {
     dominance: Option<DominanceTable>,
 }
 
-impl Drop for Searcher<'_> {
+impl<S> Drop for Searcher<'_, S> {
     fn drop(&mut self) {
         if let Some(table) = self.dominance.take() {
             table.release();
@@ -449,12 +542,21 @@ impl Drop for Searcher<'_> {
     }
 }
 
-impl<'a> Searcher<'a> {
-    fn new(inst: &'a QueryInstance, ctx: &'a SearchContext, cfg: BnbConfig) -> Self {
+impl<'a, S: ServiceSet> Searcher<'a, S> {
+    /// A searcher whose setup time counts from `started`.
+    fn new(
+        inst: &'a QueryInstance,
+        ctx: &'a SearchContext,
+        cfg: BnbConfig,
+        started: Instant,
+    ) -> Self {
         let n = inst.len();
         let dominance = (cfg.use_dominance
             && (2 + DOMINANCE_MIN_UNPLACED..=DOMINANCE_MAX_N).contains(&n))
         .then(DominanceTable::acquire);
+        let preds = inst.precedence().map_or_else(Vec::new, |dag| {
+            (0..n).map(|j| S::from_bitset(dag.predecessors(j))).collect()
+        });
         Searcher {
             inst,
             ctx,
@@ -462,14 +564,18 @@ impl<'a> Searcher<'a> {
             n,
             plan: Vec::with_capacity(n),
             state: IncrementalBounds::new(ctx),
+            preds,
             prefix: Vec::with_capacity(n),
-            terms: Vec::with_capacity(n),
             eps_fin: Vec::with_capacity(n),
             cand_idx: vec![0; n + 1],
             rho: f64::INFINITY,
             best: None,
-            stats: SearchStats { proven_optimal: true, ..SearchStats::default() },
-            started: Instant::now(),
+            stats: SearchStats {
+                proven_optimal: true,
+                setup: started.elapsed(),
+                ..SearchStats::default()
+            },
+            started,
             interrupted: false,
             halt_on_candidate: false,
             halted: false,
@@ -529,7 +635,7 @@ impl<'a> Searcher<'a> {
     }
 
     /// All feasible root pairs `(a, b, w)` sorted ascending by pair cost
-    /// `w = c_a + σ_a·t_{a,b}`.
+    /// `w = c_a + σ_a·t_{a,b}`, ties in `(a, b)` order.
     fn sorted_roots(&self) -> Vec<(usize, usize, f64)> {
         let mut roots: Vec<(usize, usize, f64)> = Vec::new();
         for a in 0..self.n {
@@ -544,7 +650,9 @@ impl<'a> Searcher<'a> {
                 roots.push((a, b, w));
             }
         }
-        roots.sort_by(|x, y| x.2.total_cmp(&y.2));
+        // The pairs are generated in `(a, b)` order, so this is the order
+        // a stable sort by `w` gives.
+        roots.sort_unstable_by(|x, y| x.2.total_cmp(&y.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
         roots
     }
 
@@ -557,6 +665,7 @@ impl<'a> Searcher<'a> {
 
         // Root pairs sorted by pair cost (the plan's first term).
         let roots = self.sorted_roots();
+        self.stats.setup = self.started.elapsed();
 
         for (idx, &(a, b, w)) in roots.iter().enumerate() {
             if self.interrupted {
@@ -590,16 +699,14 @@ impl<'a> Searcher<'a> {
     /// Depth-first exploration of the subtree rooted at the pair `(a, b)`.
     fn explore_root(&mut self, a: usize, b: usize, w: f64) {
         self.plan.clear();
-        self.state.reset(self.ctx);
+        self.state.reset();
         self.prefix.clear();
-        self.terms.clear();
         self.eps_fin.clear();
 
         self.plan.extend([a, b]);
         self.state.push(self.ctx, a);
         self.state.push(self.ctx, b);
         self.prefix.extend([1.0, self.ctx.selectivity(a)]);
-        self.terms.push(w);
         self.eps_fin.push(w);
         self.cand_idx[2] = 0;
 
@@ -626,12 +733,13 @@ impl<'a> Searcher<'a> {
             }
 
             match self.next_child() {
-                Some(j) => {
-                    self.push(j);
+                Some((j, term_u)) => {
+                    self.push(j, term_u);
                     entering = true;
                 }
                 None => {
                     // Level exhausted: abandon this node, resume the parent.
+                    self.close_current();
                     if !self.pop_one() {
                         return;
                     }
@@ -711,7 +819,7 @@ impl<'a> Searcher<'a> {
 
         if self.n - m >= DOMINANCE_MIN_UNPLACED {
             if let Some(table) = &mut self.dominance {
-                let key = self.state.placed().low_word() << 6 | last as u64;
+                let key = dominance_key(self.state.placed(), last);
                 if table.dominated_or_store(key, eps, self.prefix[m - 1]) {
                     self.stats.prunes_dominated += 1;
                     // Dominance speaks for this node's completions only,
@@ -725,9 +833,10 @@ impl<'a> Searcher<'a> {
         true
     }
 
-    /// Next feasible successor at the current level, honouring the
+    /// Next feasible successor at the current level and the term it
+    /// finalizes for the current last service, honouring the
     /// cheapest-transfer-first order and the incumbent cut-off.
-    fn next_child(&mut self) -> Option<usize> {
+    fn next_child(&mut self) -> Option<(usize, f64)> {
         let m = self.plan.len();
         let u = self.plan[m - 1];
         let prefix_u = self.prefix[m - 1];
@@ -736,7 +845,7 @@ impl<'a> Searcher<'a> {
         while self.cand_idx[m] < succ.len() {
             let j = succ[self.cand_idx[m]] as usize;
             self.cand_idx[m] += 1;
-            if self.state.is_placed(j) || !self.feasible_next(j) {
+            if self.state.is_placed(j) || !self.ready(self.state.placed(), j) {
                 continue;
             }
             let term_u = prefix_u * (c_u + s_u * self.ctx.transfer(u, j));
@@ -746,23 +855,41 @@ impl<'a> Searcher<'a> {
                 self.cand_idx[m] = succ.len();
                 return None;
             }
-            return Some(j);
+            return Some((j, term_u));
         }
         None
     }
 
-    fn push(&mut self, j: usize) {
+    /// Appends `j`, whose arrival finalizes the last service's term
+    /// `term_u`.
+    fn push(&mut self, j: usize, term_u: f64) {
         let m = self.plan.len();
-        let u = self.plan[m - 1];
-        let term_u = self.prefix[m - 1]
-            * (self.ctx.cost(u) + self.ctx.selectivity(u) * self.ctx.transfer(u, j));
-        self.terms.push(term_u);
-        let top = self.eps_fin.last().copied().unwrap_or(0.0);
+        let top = self.eps_fin[m - 2];
         self.eps_fin.push(top.max(term_u));
-        self.prefix.push(self.prefix[m - 1] * self.ctx.selectivity(u));
+        self.prefix.push(self.prefix[m - 1] * self.ctx.selectivity(self.plan[m - 1]));
         self.plan.push(j);
         self.state.push(self.ctx, j);
         self.stats.nodes_expanded += 1;
+    }
+
+    /// Marks the current node closed in the dominance table as it leaves
+    /// the path with its subtree searched to the end. Only a node with
+    /// `ε < ρ` qualifies: its completions all cost `≥ ρ`, so then a term
+    /// of its unplaced tail does.
+    fn close_current(&mut self) {
+        let m = self.plan.len();
+        if self.dominance.is_none() || self.n - m < DOMINANCE_MIN_UNPLACED {
+            return;
+        }
+        let last = self.plan[m - 1];
+        let prefix = self.prefix[m - 1];
+        let eps = self.eps_fin[m - 2].max(prefix * self.ctx.cost(last));
+        if eps < self.rho {
+            let key = dominance_key(self.state.placed(), last);
+            if let Some(table) = &mut self.dominance {
+                table.mark_closed(key, eps, prefix);
+            }
+        }
     }
 
     /// Abandons the current node and resumes its parent's candidate
@@ -781,13 +908,19 @@ impl<'a> Searcher<'a> {
     /// finalized term already reaches `ρ`; plain backtrack otherwise.
     fn rewind(&mut self) {
         if self.cfg.use_backjump {
-            if let Some(b) = self.terms.iter().position(|&t| t >= self.rho) {
+            let b = self.eps_fin.partition_point(|&e| e < self.rho);
+            if b < self.eps_fin.len() {
                 let m = self.plan.len();
                 // A plain backtrack would resume at level m-1; the jump
                 // resumes at level b (positions b..m-1 discarded at once).
-                if b < m - 1 {
-                    self.stats.backjumps += 1;
-                    self.stats.backjump_levels_saved += (m - 1 - b) as u64;
+                self.stats.backjumps += 1;
+                self.stats.backjump_levels_saved += (m - 1 - b) as u64;
+                if b >= 1 {
+                    // Every successor of `plan[b]` not yet tried at the
+                    // node of prefix length b + 1 finalizes position b at
+                    // `≥ ρ`: that node's subtree is searched to the end.
+                    self.truncate_to(b + 1);
+                    self.close_current();
                 }
                 if b <= 1 {
                     // The dominated prefix reaches into the root pair:
@@ -809,15 +942,13 @@ impl<'a> Searcher<'a> {
             self.state.pop(j);
         }
         self.prefix.truncate(len);
-        self.terms.truncate(len - 1);
         self.eps_fin.truncate(len - 1);
     }
 
-    fn feasible_next(&self, j: usize) -> bool {
-        match self.inst.precedence() {
-            Some(dag) => dag.is_ready(j, self.state.placed()),
-            None => true,
-        }
+    /// Whether every predecessor of `j` is in `placed`.
+    #[inline]
+    fn ready(&self, placed: &S, j: usize) -> bool {
+        self.preds.get(j).is_none_or(|preds| placed.includes(preds))
     }
 
     fn first_position_feasible(&self, a: usize) -> bool {
@@ -847,10 +978,7 @@ impl<'a> Searcher<'a> {
                 .successors_ascending(u)
                 .iter()
                 .map(|&j| j as usize)
-                .find(|&j| {
-                    !placed.contains(j)
-                        && self.inst.precedence().is_none_or(|dag| dag.is_ready(j, &placed))
-                })
+                .find(|&j| !placed.contains(j) && self.ready(&placed, j))
                 .expect("acyclic precedence always leaves a ready service");
             order.push(next);
             placed.insert(next);
@@ -868,15 +996,16 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             let mut order = vec![start];
-            let mut placed = BitSet::new(self.n);
+            let mut placed = S::empty(self.n);
             placed.insert(start);
             while order.len() < self.n {
                 let u = *order.last().expect("non-empty");
-                let next =
-                    self.ctx.successors_ascending(u).iter().map(|&j| j as usize).find(|&j| {
-                        !placed.contains(j)
-                            && self.inst.precedence().is_none_or(|dag| dag.is_ready(j, &placed))
-                    });
+                let next = self
+                    .ctx
+                    .successors_ascending(u)
+                    .iter()
+                    .map(|&j| j as usize)
+                    .find(|&j| !placed.contains(j) && self.ready(&placed, j));
                 match next {
                     Some(j) => {
                         order.push(j);
@@ -900,6 +1029,13 @@ impl<'a> Searcher<'a> {
     fn budget_exhausted(&self) -> bool {
         self.cfg.node_limit.is_some_and(|limit| self.stats.nodes_visited >= limit)
     }
+}
+
+/// The dominance key of a node: its placed set above its 6-bit last
+/// service (exact for instances of at most [`DOMINANCE_MAX_N`] services).
+#[inline]
+fn dominance_key<S: ServiceSet>(placed: &S, last: usize) -> u64 {
+    placed.low_word() << 6 | last as u64
 }
 
 #[cfg(test)]
@@ -1320,6 +1456,77 @@ mod tests {
         assert_eq!(wrapped.generation, 1, "the generation skips 0 on wrap");
         assert!(!wrapped.dominated_or_store(7, 9.0, 9.0), "the wrap clears every slot");
         wrapped.release();
+    }
+
+    #[test]
+    fn a_closed_slot_dominates_any_later_epsilon_but_no_smaller_prefix() {
+        let mut table = DominanceTable::acquire();
+        assert!(!table.dominated_or_store(7, 2.0, 1.0));
+        assert!(!table.dominated_or_store(7, 1.5, 1.0), "open: a smaller ε is not dominated");
+        table.mark_closed(7, 1.5, 1.0);
+        assert!(table.dominated_or_store(7, 0.5, 1.0), "closed: smaller ε, equal prefix");
+        assert!(table.dominated_or_store(7, 0.0, 3.0), "closed: smaller ε, larger prefix");
+        assert!(table.dominated_or_store(7, 9.0, 1.0), "closed: larger ε");
+        assert!(!table.dominated_or_store(7, 0.5, 0.5), "never a smaller prefix");
+        // The node with the smaller prefix took the slot, open.
+        assert!(!table.dominated_or_store(7, 0.25, 0.5));
+        table.release();
+    }
+
+    #[test]
+    fn marking_a_slot_another_node_has_taken_is_a_no_op() {
+        let mut table = DominanceTable::acquire();
+        let other = (8..)
+            .find(|&k| DominanceTable::index(k) == DominanceTable::index(7))
+            .expect("a colliding key");
+        assert!(!table.dominated_or_store(7, 1.0, 1.0));
+        assert!(!table.dominated_or_store(other, 1.0, 1.0), "the collision takes the slot");
+        table.mark_closed(7, 1.0, 1.0);
+        assert!(!table.dominated_or_store(other, 0.5, 1.0), "the slot's node stays open");
+
+        // Same key, but the slot holds other values than the marked node's.
+        assert!(!table.dominated_or_store(7, 1.0, 1.0));
+        table.mark_closed(7, 1.0, 2.0);
+        table.mark_closed(7, 0.5, 1.0);
+        assert!(!table.dominated_or_store(7, 0.5, 1.0), "only the exact node is marked");
+        table.release();
+    }
+
+    #[test]
+    fn a_new_search_forgets_closed_marks() {
+        let mut table = DominanceTable::acquire();
+        assert!(!table.dominated_or_store(7, 1.0, 1.0));
+        table.mark_closed(7, 1.0, 1.0);
+        assert!(table.dominated_or_store(7, 0.5, 1.0));
+        table.release();
+        let mut next = DominanceTable::acquire();
+        assert!(!next.dominated_or_store(7, 2.0, 2.0), "a new generation sees no mark");
+        next.release();
+    }
+
+    #[test]
+    fn instances_beyond_one_word_search_on_a_bit_set() {
+        // n > 64 runs the search on a `BitSet`. With t ≡ 0 and equal
+        // costs every plan costs 1; Lemma 2 closes the first root.
+        let n = 70;
+        let mut dag = PrecedenceDag::new(n).unwrap();
+        dag.add_edge(69, 3).unwrap();
+        dag.add_edge(3, 65).unwrap();
+        let inst = QueryInstance::builder()
+            .services((0..n).map(|_| Service::new(1.0, 1.0)))
+            .comm(CommMatrix::zeros(n))
+            .precedence(dag)
+            .build()
+            .unwrap();
+        for dominance in [false, true] {
+            let cfg = BnbConfig { use_dominance: dominance, ..BnbConfig::paper() };
+            let result = optimize_with(&inst, &cfg);
+            assert!(result.is_proven_optimal());
+            assert_eq!(result.cost(), 1.0);
+            assert!(result.plan().satisfies(inst.precedence().unwrap()));
+            let parallel = optimize_parallel(&inst, &cfg, NonZeroUsize::new(2).unwrap());
+            assert_eq!(parallel.plan(), result.plan(), "dominance {dominance}");
+        }
     }
 
     #[test]

@@ -36,7 +36,12 @@ pub struct SearchStats {
     pub roots_pruned: u64,
     /// Deepest partial plan reached.
     pub max_depth: usize,
-    /// Wall-clock time of the search.
+    /// Wall-clock time of the search's setup: building the
+    /// [`SearchContext`](crate::bnb::SearchContext), sorting the root
+    /// pairs and taking the dominance table. Part of `elapsed`; the rest
+    /// is the node-by-node search.
+    pub setup: Duration,
+    /// Wall-clock time of the search, setup included.
     pub elapsed: Duration,
     /// Whether the search ran to completion (no node budget hit), so
     /// the returned plan is proven optimal.
@@ -45,7 +50,7 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Folds another run's statistics into `self`: counters add,
-    /// `max_depth` takes the maximum, `elapsed` accumulates (per-worker
+    /// `max_depth` takes the maximum, `setup` and `elapsed` accumulate (per-worker
     /// search time; [`optimize_parallel`](crate::optimize_parallel)
     /// overwrites the merged total with wall-clock time at the end), and
     /// `proven_optimal` holds only if it held on both sides.
@@ -66,6 +71,7 @@ impl SearchStats {
             roots_explored,
             roots_pruned,
             max_depth,
+            setup,
             elapsed,
             proven_optimal,
         } = other;
@@ -80,6 +86,7 @@ impl SearchStats {
         self.roots_explored += roots_explored;
         self.roots_pruned += roots_pruned;
         self.max_depth = self.max_depth.max(*max_depth);
+        self.setup += *setup;
         self.elapsed += *elapsed;
         self.proven_optimal &= proven_optimal;
     }
@@ -138,6 +145,7 @@ impl fmt::Display for SearchStats {
             self.roots_explored, self.roots_pruned
         )?;
         writeln!(f, "max depth          {:>12}", self.max_depth)?;
+        writeln!(f, "setup              {:>12?}", self.setup)?;
         writeln!(f, "elapsed            {:>12?}", self.elapsed)?;
         writeln!(f, "node throughput    {:>12.0} nodes/s", self.nodes_per_sec())?;
         write!(f, "proven optimal     {:>12}", self.proven_optimal)
@@ -177,6 +185,7 @@ mod tests {
             roots_explored: 2,
             roots_pruned: 1,
             max_depth: 4,
+            setup: Duration::from_micros(7),
             elapsed: Duration::from_millis(100),
             proven_optimal: true,
         };
@@ -192,6 +201,7 @@ mod tests {
             roots_explored: 20,
             roots_pruned: 10,
             max_depth: 3,
+            setup: Duration::from_micros(5),
             elapsed: Duration::from_millis(50),
             proven_optimal: true,
         };
@@ -208,6 +218,7 @@ mod tests {
         assert_eq!(merged.roots_explored, 22);
         assert_eq!(merged.roots_pruned, 11);
         assert_eq!(merged.max_depth, 4, "max depth takes the maximum");
+        assert_eq!(merged.setup, Duration::from_micros(12));
         assert_eq!(merged.elapsed, Duration::from_millis(150));
         assert!(merged.proven_optimal);
 
@@ -229,7 +240,8 @@ mod tests {
         let stats =
             SearchStats { nodes_visited: 42, proven_optimal: true, ..SearchStats::default() };
         let text = stats.to_string();
-        for needle in ["nodes visited", "lemma-2", "backjumps", "dominance", "proven optimal", "42"]
+        for needle in
+            ["nodes visited", "lemma-2", "backjumps", "dominance", "setup", "proven optimal", "42"]
         {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }

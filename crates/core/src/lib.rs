@@ -45,7 +45,8 @@
 //! * [`optimize`], [`optimize_with`], [`BnbConfig`], [`BnbResult`],
 //!   [`SearchStats`] — the branch-and-bound optimizer and its ablation
 //!   switches;
-//! * [`BitSet`] — the small index set used throughout the search.
+//! * [`BitSet`] — the small index set of the model, the heuristics and
+//!   the search beyond 64 services.
 //!
 //! Baseline algorithms (exhaustive, dynamic programming, greedy, the
 //! uniform-communication optimum of Srivastava et al., local search,

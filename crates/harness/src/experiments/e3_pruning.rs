@@ -47,6 +47,8 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     "backjumps",
                     "dominated",
                     "time (mean)",
+                    "setup µs",
+                    "ns/node",
                 ],
             );
             let mut baseline_nodes = 0.0f64;
@@ -56,6 +58,10 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                 let mut backjumps = 0u64;
                 let mut dominated = 0u64;
                 let mut elapsed = std::time::Duration::ZERO;
+                // The search's own split of its time: setup (context,
+                // roots, dominance table) and the node-by-node rest.
+                let mut setup = std::time::Duration::ZERO;
+                let mut searching = std::time::Duration::ZERO;
                 for point in &points {
                     let t0 = Instant::now();
                     let result = if *greedy_seed {
@@ -69,6 +75,8 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     closures += result.stats().lemma2_closures;
                     backjumps += result.stats().backjumps;
                     dominated += result.stats().prunes_dominated;
+                    setup += result.stats().setup;
+                    searching += result.stats().elapsed.saturating_sub(result.stats().setup);
                 }
                 let mean_nodes = nodes as f64 / points.len() as f64;
                 if *name == "incumbent-only (L1)" {
@@ -82,6 +90,8 @@ fn run(ctx: &ExperimentContext) -> Vec<Table> {
                     (backjumps / points.len() as u64).to_string(),
                     (dominated / points.len() as u64).to_string(),
                     format!("{} ms", cell_ms(elapsed / points.len() as u32)),
+                    cell_f64(setup.as_secs_f64() * 1e6 / points.len() as f64, 1),
+                    cell_f64(searching.as_secs_f64() * 1e9 / nodes.max(1) as f64, 1),
                 ]);
             }
             table.push_note(format!(

@@ -29,6 +29,7 @@ struct Totals {
     lemma2_closures: u64,
     backjumps: u64,
     candidates_recorded: u64,
+    prunes_dominated: u64,
 }
 
 impl Totals {
@@ -37,6 +38,7 @@ impl Totals {
         self.lemma2_closures += stats.lemma2_closures;
         self.backjumps += stats.backjumps;
         self.candidates_recorded += stats.candidates_recorded;
+        self.prunes_dominated += stats.prunes_dominated;
     }
 }
 
@@ -88,6 +90,7 @@ fn search_stats_are_pinned_on_btsp_hard_n12() {
                 lemma2_closures: 162,
                 backjumps: 204,
                 candidates_recorded: 204,
+                prunes_dominated: 0,
             },
             0xE827AB9B382159DA,
         ),
@@ -99,6 +102,7 @@ fn search_stats_are_pinned_on_btsp_hard_n12() {
                 lemma2_closures: 0,
                 backjumps: 204,
                 candidates_recorded: 204,
+                prunes_dominated: 0,
             },
             0xEF4DF95BF36A2540,
         ),
@@ -112,6 +116,32 @@ fn search_stats_are_pinned_on_btsp_hard_n12() {
         })
         .collect();
     assert!(drifted.is_empty(), "search decisions changed:\n{}", drifted.join("\n"));
+}
+
+/// Prefix dominance, closed records included, changes node counts only:
+/// on the same corpus every plan and cost bit equals `paper()`'s, and
+/// the totals of the serving configuration are pinned.
+#[test]
+fn dominance_keeps_every_paper_plan_on_btsp_hard_n12() {
+    let mut totals = Totals::default();
+    for seed in 0..24 {
+        let instance = generate(Family::BtspHard, 12, 900 + seed);
+        let paper = optimize_with(&instance, &BnbConfig::paper());
+        let dominated =
+            optimize_with(&instance, &BnbConfig { use_dominance: true, ..BnbConfig::paper() });
+        assert_eq!(dominated.plan(), paper.plan(), "seed {}", 900 + seed);
+        assert_eq!(dominated.cost().to_bits(), paper.cost().to_bits(), "seed {}", 900 + seed);
+        assert!(dominated.is_proven_optimal());
+        totals.add(dominated.stats());
+    }
+    let expected = Totals {
+        nodes_visited: 45212,
+        lemma2_closures: 162,
+        backjumps: 204,
+        candidates_recorded: 204,
+        prunes_dominated: 6295,
+    };
+    assert_eq!(totals, expected, "dominance pruned differently");
 }
 
 fn write_greedy(h: &mut Fnv1a, result: &GreedyResult) {

@@ -174,6 +174,27 @@ fn node_budget_still_returns_an_unproven_plan() {
     assert_eq!(bottleneck_cost(&inst, result.plan()).to_bits(), result.cost().to_bits());
 }
 
+/// Beyond 64 services the search runs on a multi-word set and the table
+/// is off (its key holds at most 58 services): a budgeted search still
+/// returns a valid permutation, flagged unproven, with or without the
+/// switch, and the switch changes nothing.
+#[test]
+fn seventy_services_under_a_budget_return_an_unproven_permutation() {
+    let inst = generate(Family::BtspHard, 70, 3);
+    let budgeted = BnbConfig::paper().with_node_limit(2_000);
+    let plain = optimize_with(&inst, &budgeted);
+    let dominated = optimize_with(&inst, &with_dominance(&budgeted));
+    for result in [&plain, &dominated] {
+        assert!(!result.is_proven_optimal());
+        let mut indices = result.plan().indices();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..70).collect::<Vec<_>>(), "a permutation of 0..70");
+        assert_eq!(bottleneck_cost(&inst, result.plan()).to_bits(), result.cost().to_bits());
+        assert_eq!(result.stats().prunes_dominated, 0, "no table above 58 services");
+    }
+    assert_identical(&plain, &dominated, "btsp-hard n=70 under a node budget");
+}
+
 #[test]
 fn dominance_prunes_on_btsp_hard() {
     let inst = generate(Family::BtspHard, 10, 0);
