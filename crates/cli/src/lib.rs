@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! dsq generate --family clustered -n 12 --seed 3       # instance → stdout
-//! dsq optimize pipeline.dsq [--parallel 4] [--config no-backjump]
+//! dsq optimize pipeline.dsq [--config no-backjump]
 //! dsq explain pipeline.dsq --plan 2,0,1                # per-term breakdown
 //! dsq baselines pipeline.dsq                           # comparison table
 //! dsq simulate pipeline.dsq --tuples 20000 [--plan …]  # discrete-event run
@@ -83,7 +83,7 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
 
 const USAGE: &str = "usage:
   dsq generate --family FAMILY -n N [--seed S]        write an instance to stdout
-  dsq optimize FILE [--config NAME] [--parallel T]    find the optimal ordering
+  dsq optimize FILE [--config NAME]                   find the optimal ordering
   dsq explain FILE --plan I,J,K,...                   break down a plan's cost
   dsq baselines FILE                                  compare all ordering methods
   dsq simulate FILE [--plan I,J,...] [--tuples N] [--block B]
@@ -208,16 +208,11 @@ fn optimize_cmd<'a>(
 ) -> Result<(), CliError> {
     let mut file = None;
     let mut config = BnbConfig::paper();
-    let mut threads = 1usize;
     while let Some(arg) = args.next() {
         match arg {
             "--config" => config = parse_config(args.next().ok_or("--config needs a value")?)?,
-            "--parallel" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or("--parallel needs a positive integer")?
+            other if other.starts_with("--") => {
+                return Err(format!("unknown optimize flag `{other}`"))
             }
             other if file.is_none() => file = Some(other),
             other => return Err(format!("unexpected argument `{other}`")),
@@ -227,8 +222,7 @@ fn optimize_cmd<'a>(
     // Even the one-shot CLI path goes through the Planner seam: the same
     // entry point `serve-batch --remote`'s fallback and the fleet router
     // use.
-    let planner =
-        ColdPlanner::new(config).with_threads(NonZeroUsize::new(threads).expect("checked > 0"));
+    let planner = ColdPlanner::new(config);
     let served = planner.plan(&instance).map_err(|e| e.to_string())?;
     let stats = served.search.as_ref().expect("cold planners always run a search");
     writeln!(out, "plan      {}", served.plan).map_err(io_err)?;
@@ -246,6 +240,9 @@ fn explain_cmd<'a>(
     while let Some(arg) = args.next() {
         match arg {
             "--plan" => plan_spec = Some(args.next().ok_or("--plan needs a value")?),
+            other if other.starts_with("--") => {
+                return Err(format!("unknown explain flag `{other}`"))
+            }
             other if file.is_none() => file = Some(other),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -313,6 +310,9 @@ fn simulate_cmd<'a>(
                     .and_then(|v| v.parse().ok())
                     .filter(|&v| v > 0)
                     .ok_or("--block needs a positive integer")?
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unknown simulate flag `{other}`"))
             }
             other if file.is_none() => file = Some(other),
             other => return Err(format!("unexpected argument `{other}`")),
@@ -527,6 +527,9 @@ fn serve_batch_cmd<'a>(
             }
             "--remote" => {
                 remote = Some(args.next().ok_or("--remote needs a comma-separated address list")?)
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unknown serve-batch flag `{other}`"))
             }
             other if path.is_none() => path = Some(other),
             other => return Err(format!("unexpected argument `{other}`")),
@@ -919,6 +922,9 @@ fn client_cmd<'a>(
                     .ok_or("--resolution needs a number in (0, 1)")?;
                 routing = Quantization::new(value);
             }
+            other if other.starts_with("--") => {
+                return Err(format!("unknown client flag `{other}`"))
+            }
             other if command.is_none() => command = Some(other),
             other => files.push(other),
         }
@@ -1245,15 +1251,9 @@ mod tests {
         assert!(text.contains("cost"));
         assert!(text.contains("optimal   true"));
         assert!(text.contains("nodes visited"));
-        let parallel = run_ok(&[
-            "optimize",
-            path.to_str().expect("utf8 path"),
-            "--parallel",
-            "2",
-            "--config",
-            "no-backjump",
-        ]);
-        assert!(parallel.contains("optimal   true"));
+        let no_backjump =
+            run_ok(&["optimize", path.to_str().expect("utf8 path"), "--config", "no-backjump"]);
+        assert!(no_backjump.contains("optimal   true"));
         std::fs::remove_file(path).ok();
     }
 
@@ -1354,6 +1354,22 @@ mod tests {
             "--queue needs a positive integer"
         );
         assert_eq!(run_err(&["serve", "--tcp", "x", "--bogus"]), "unknown serve flag `--bogus`");
+        // An unknown flag is named as such, not taken for the file.
+        assert_eq!(run_err(&["optimize", "--bogus", file]), "unknown optimize flag `--bogus`");
+        assert_eq!(
+            run_err(&["optimize", "--parallel", "2", file]),
+            "unknown optimize flag `--parallel`"
+        );
+        assert_eq!(run_err(&["explain", "--bogus", file]), "unknown explain flag `--bogus`");
+        assert_eq!(run_err(&["simulate", "--bogus", file]), "unknown simulate flag `--bogus`");
+        assert_eq!(
+            run_err(&["serve-batch", "--bogus", "/tmp"]),
+            "unknown serve-batch flag `--bogus`"
+        );
+        assert_eq!(
+            run_err(&["client", "--unix", "/tmp/x.sock", "optimize", "--bogus", file]),
+            "unknown client flag `--bogus`"
+        );
         assert_eq!(
             run_err(&["serve", "--tcp", "x", "--chaos", "nope"]),
             "--chaos needs a seed (a non-negative integer)"

@@ -1,4 +1,4 @@
-//! Cache-friendly shared search data and the incremental bound engine.
+//! Cache-friendly search data and the incremental bound engine.
 //!
 //! The branch-and-bound hot path compares `ε̄` with `ε` at every node.
 //! Doing that against [`QueryInstance`] directly costs an accessor
@@ -8,17 +8,15 @@
 //! bound term that settles it:
 //!
 //! * [`SearchContext`] — an immutable, per-instance snapshot built **once**
-//!   per `optimize` call (and shared by every worker of
-//!   [`optimize_parallel`](crate::optimize_parallel)): flat structure-of-
-//!   arrays copies of cost/selectivity/sink, the row-major transfer matrix,
-//!   the loose-mode row maxima, and per-row successor lists pre-sorted both
-//!   ascending (candidate expansion) and descending (tight `ε̄` row
-//!   maxima). "Max transfer into the remaining set" becomes a
-//!   first-remaining-entry scan of the descending row — `O(1)` while the
-//!   head of the row is unplaced, `O(depth)` worst case when the search
-//!   has placed exactly the row's most expensive entries — instead of an
-//!   unconditional `O(n)` loop.
-//! * [`IncrementalBounds`] — the mutable per-worker state: the placed set
+//!   per `optimize` call: flat structure-of-arrays copies of
+//!   cost/selectivity/sink, the row-major transfer matrix, the loose-mode
+//!   row maxima, and per-row successor lists pre-sorted both ascending
+//!   (candidate expansion) and descending (tight `ε̄` row maxima). "Max
+//!   transfer into the remaining set" becomes a first-remaining-entry scan
+//!   of the descending row — `O(1)` while the head of the row is unplaced,
+//!   `O(depth)` worst case when the search has placed exactly the row's
+//!   most expensive entries — instead of an unconditional `O(n)` loop.
+//! * [`IncrementalBounds`] — the mutable per-search state: the placed set
 //!   as one [`ServiceSet`] (a single `u64` word for instances of at most
 //!   64 services, so the placed check, the remaining-set walk and the
 //!   dominance key are word operations; a [`BitSet`] beyond; the remaining
@@ -165,8 +163,7 @@ impl ServiceSet for BitSet {
 /// branch-and-bound search: flat parameter arrays plus pre-sorted per-row
 /// transfer orderings.
 ///
-/// Built once per optimization and shared (by reference) across all
-/// parallel workers. This type is exported for the workspace benchmarks
+/// Built once per optimization. This type is exported for the workspace benchmarks
 /// and the experiment harness; it is not a stability-guaranteed API.
 #[derive(Debug, Clone)]
 pub struct SearchContext {

@@ -18,9 +18,8 @@
 //! btsp-hard nearly every open node is decided by the first term, so the
 //! test costs `O(1)` per node in practice:
 //!
-//! * **[`SearchContext`]** — immutable, built once per `optimize` call and
-//!   shared by reference across all [`optimize_parallel`] workers: flat
-//!   structure-of-arrays copies of cost/selectivity/sink, the row-major
+//! * **[`SearchContext`]** — immutable, built once per `optimize` call:
+//!   flat structure-of-arrays copies of cost/selectivity/sink, the row-major
 //!   transfer matrix, loose-mode row maxima, and per-row successor lists
 //!   pre-sorted ascending (candidate expansion) and descending (tight `ε̄`
 //!   maxima). "Max transfer into the remaining set" is a
@@ -28,7 +27,7 @@
 //!   is unplaced, `O(depth)` worst case) instead of an unconditional
 //!   `O(n)` loop, and the ascending rows double as the
 //!   cheapest-transfer-first expansion order that makes Lemma 3 sound.
-//! * **[`IncrementalBounds`]** — mutable per-worker state updated in `O(1)`
+//! * **[`IncrementalBounds`]** — mutable per-search state updated in `O(1)`
 //!   on every push/pop: the placed set as one word mask (a `u64` for
 //!   instances of at most 64 services, a [`BitSet`](crate::BitSet) beyond,
 //!   through the [`ServiceSet`] trait, so one search loop serves both; the
@@ -57,5 +56,5 @@ mod stats;
 
 pub use config::BnbConfig;
 pub use context::{IncrementalBounds, SearchContext, ServiceSet};
-pub use search::{optimize, optimize_parallel, optimize_with, BnbResult};
+pub use search::{optimize, optimize_with, BnbResult};
 pub use stats::SearchStats;

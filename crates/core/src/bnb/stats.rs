@@ -49,48 +49,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Folds another run's statistics into `self`: counters add,
-    /// `max_depth` takes the maximum, `setup` and `elapsed` accumulate (per-worker
-    /// search time; [`optimize_parallel`](crate::optimize_parallel)
-    /// overwrites the merged total with wall-clock time at the end), and
-    /// `proven_optimal` holds only if it held on both sides.
-    ///
-    /// The body destructures `other` exhaustively, so adding a counter to
-    /// [`SearchStats`] without deciding how it merges is a compile error —
-    /// new counters cannot be silently dropped from the parallel path.
-    pub fn merge(&mut self, other: &SearchStats) {
-        let SearchStats {
-            nodes_visited,
-            nodes_expanded,
-            candidates_recorded,
-            lemma2_closures,
-            backjumps,
-            backjump_levels_saved,
-            prunes_incumbent,
-            prunes_dominated,
-            roots_explored,
-            roots_pruned,
-            max_depth,
-            setup,
-            elapsed,
-            proven_optimal,
-        } = other;
-        self.nodes_visited += nodes_visited;
-        self.nodes_expanded += nodes_expanded;
-        self.candidates_recorded += candidates_recorded;
-        self.lemma2_closures += lemma2_closures;
-        self.backjumps += backjumps;
-        self.backjump_levels_saved += backjump_levels_saved;
-        self.prunes_incumbent += prunes_incumbent;
-        self.prunes_dominated += prunes_dominated;
-        self.roots_explored += roots_explored;
-        self.roots_pruned += roots_pruned;
-        self.max_depth = self.max_depth.max(*max_depth);
-        self.setup += *setup;
-        self.elapsed += *elapsed;
-        self.proven_optimal &= proven_optimal;
-    }
-
     /// Node throughput of the search: `nodes_visited` per second of
     /// `elapsed` wall-clock time (`0.0` when no time was recorded). The
     /// headline measure of the per-node bound-evaluation cost, printed in
@@ -169,62 +127,6 @@ mod tests {
     #[test]
     fn unpruned_count_saturates() {
         assert_eq!(SearchStats::unpruned_prefix_count(100), u64::MAX);
-    }
-
-    #[test]
-    fn merge_covers_every_field() {
-        let a = SearchStats {
-            nodes_visited: 10,
-            nodes_expanded: 9,
-            candidates_recorded: 8,
-            lemma2_closures: 7,
-            backjumps: 6,
-            backjump_levels_saved: 5,
-            prunes_incumbent: 4,
-            prunes_dominated: 2,
-            roots_explored: 2,
-            roots_pruned: 1,
-            max_depth: 4,
-            setup: Duration::from_micros(7),
-            elapsed: Duration::from_millis(100),
-            proven_optimal: true,
-        };
-        let b = SearchStats {
-            nodes_visited: 100,
-            nodes_expanded: 90,
-            candidates_recorded: 80,
-            lemma2_closures: 70,
-            backjumps: 60,
-            backjump_levels_saved: 50,
-            prunes_incumbent: 40,
-            prunes_dominated: 20,
-            roots_explored: 20,
-            roots_pruned: 10,
-            max_depth: 3,
-            setup: Duration::from_micros(5),
-            elapsed: Duration::from_millis(50),
-            proven_optimal: true,
-        };
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.nodes_visited, 110);
-        assert_eq!(merged.nodes_expanded, 99);
-        assert_eq!(merged.candidates_recorded, 88);
-        assert_eq!(merged.lemma2_closures, 77);
-        assert_eq!(merged.backjumps, 66);
-        assert_eq!(merged.backjump_levels_saved, 55);
-        assert_eq!(merged.prunes_incumbent, 44);
-        assert_eq!(merged.prunes_dominated, 22);
-        assert_eq!(merged.roots_explored, 22);
-        assert_eq!(merged.roots_pruned, 11);
-        assert_eq!(merged.max_depth, 4, "max depth takes the maximum");
-        assert_eq!(merged.setup, Duration::from_micros(12));
-        assert_eq!(merged.elapsed, Duration::from_millis(150));
-        assert!(merged.proven_optimal);
-
-        // One interrupted side poisons the merged optimality claim.
-        merged.merge(&SearchStats { proven_optimal: false, ..SearchStats::default() });
-        assert!(!merged.proven_optimal);
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod snapshot;
 pub mod bnb;
 
 pub use bitset::BitSet;
-pub use bnb::{optimize, optimize_parallel, optimize_with, BnbConfig, BnbResult, SearchStats};
+pub use bnb::{optimize, optimize_with, BnbConfig, BnbResult, SearchStats};
 pub use canonical::{CanonicalKey, Quantization};
 pub use comm::CommMatrix;
 pub use cost::{

@@ -14,9 +14,7 @@ use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{PlanCache, PlanTier, ServeSource, ServedPlan};
 use crate::lock;
 use crate::ring::HashRing;
-use dsq_core::{
-    optimize_parallel, optimize_with, BnbConfig, CanonicalKey, Quantization, QueryInstance,
-};
+use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Quantization, QueryInstance};
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -191,29 +189,15 @@ impl<P: Planner + ?Sized> Planner for &P {
 #[derive(Debug)]
 pub struct ColdPlanner {
     config: BnbConfig,
-    threads: NonZeroUsize,
     quantization: Quantization,
     served: AtomicU64,
 }
 
 impl ColdPlanner {
-    /// A sequential cold planner with the given optimizer configuration
-    /// and the default fingerprint quantization.
+    /// A cold planner with the given optimizer configuration and the
+    /// default fingerprint quantization.
     pub fn new(config: BnbConfig) -> Self {
-        ColdPlanner {
-            config,
-            threads: NonZeroUsize::new(1).expect("non-zero literal"),
-            quantization: Quantization::default(),
-            served: AtomicU64::new(0),
-        }
-    }
-
-    /// Optimizes with `threads` workers (`optimize_parallel`) instead of
-    /// sequentially.
-    #[must_use]
-    pub fn with_threads(mut self, threads: NonZeroUsize) -> Self {
-        self.threads = threads;
-        self
+        ColdPlanner { config, quantization: Quantization::default(), served: AtomicU64::new(0) }
     }
 
     /// Fingerprints requests under `quantization` (only the reported
@@ -231,11 +215,7 @@ impl Planner for ColdPlanner {
     }
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let result = if self.threads.get() > 1 {
-            optimize_parallel(instance, &self.config, self.threads)
-        } else {
-            optimize_with(instance, &self.config)
-        };
+        let result = optimize_with(instance, &self.config);
         self.served.fetch_add(1, Ordering::Relaxed);
         Ok(ServedPlan {
             plan: result.plan().clone(),
@@ -664,19 +644,6 @@ mod tests {
         assert_eq!((stats.served, stats.cold, stats.hits), (3, 3, 0));
         assert_eq!(planner.name(), "cold");
         assert!(planner.drain().is_ok());
-    }
-
-    #[test]
-    fn cold_planner_parallel_plans_are_identical() {
-        let inst = instance(9);
-        let sequential = ColdPlanner::new(BnbConfig::paper()).plan(&inst).expect("plans");
-        let parallel = ColdPlanner::new(BnbConfig::paper())
-            .with_threads(NonZeroUsize::new(4).expect("non-zero"))
-            .plan(&inst)
-            .expect("plans");
-        assert_eq!(sequential.plan, parallel.plan);
-        assert_eq!(sequential.cost.to_bits(), parallel.cost.to_bits());
-        assert_eq!(sequential.fingerprint, parallel.fingerprint);
     }
 
     #[test]

@@ -1,63 +1,14 @@
-//! Determinism regression tests.
-//!
-//! Two guards:
-//!
-//! * `optimize_parallel` returns the **same plan and cost** for thread
-//!   counts {1, 2, 4, 8} on a fixed instance set — the deterministic
-//!   replay pass must hide worker scheduling entirely.
-//! * Every `dsq-netsim` generator is **byte-identical** for a fixed
-//!   seed: the FNV-1a hash of each generated matrix's exact `f64` bit
-//!   patterns is pinned below. The workspace vendors its RNG
-//!   (`vendor/rand`, xoshiro256++ behind `StdRng`), so any silent drift
-//!   of that stream — an upgrade, a refactor, an accidental reseed —
-//!   breaks these constants loudly instead of silently invalidating
-//!   every checked-in experiment number.
+//! Determinism regression tests: every `dsq-netsim` generator is
+//! **byte-identical** for a fixed seed. The FNV-1a hash of each
+//! generated matrix's exact `f64` bit patterns is pinned below. The
+//! workspace vendors its RNG (`vendor/rand`, xoshiro256++ behind
+//! `StdRng`), so any silent drift of that stream — an upgrade, a
+//! refactor, an accidental reseed — breaks these constants loudly
+//! instead of silently invalidating every checked-in experiment number.
 
-use service_ordering::core::{bottleneck_cost, optimize_parallel, BnbConfig, CommMatrix};
+use service_ordering::core::CommMatrix;
 use service_ordering::netsim;
 use service_ordering::workloads::{generate, Family};
-use std::num::NonZeroUsize;
-
-#[test]
-fn parallel_plans_and_costs_are_thread_count_invariant() {
-    // BtspHard exercises deep searches with many equal-cost near-optima,
-    // the regime where racing workers used to pick scheduling-dependent
-    // plans; the other families cover the structured topologies.
-    let corpus: Vec<_> = Family::ALL
-        .iter()
-        .flat_map(|&family| {
-            let n = if family == Family::BtspHard { 10 } else { 9 };
-            [(family, n, 1u64), (family, n, 2u64)]
-        })
-        .map(|(family, n, seed)| generate(family, n, seed))
-        .collect();
-
-    for inst in &corpus {
-        let reference =
-            optimize_parallel(inst, &BnbConfig::paper(), NonZeroUsize::new(1).expect("nz"));
-        assert!(reference.is_proven_optimal());
-        for threads in [2usize, 4, 8] {
-            let result = optimize_parallel(
-                inst,
-                &BnbConfig::paper(),
-                NonZeroUsize::new(threads).expect("nz"),
-            );
-            assert_eq!(
-                result.plan(),
-                reference.plan(),
-                "{}: plan differs between 1 and {threads} threads",
-                inst.name()
-            );
-            assert_eq!(
-                result.cost().to_bits(),
-                reference.cost().to_bits(),
-                "{}: cost differs between 1 and {threads} threads",
-                inst.name()
-            );
-            assert_eq!(bottleneck_cost(inst, result.plan()).to_bits(), result.cost().to_bits());
-        }
-    }
-}
 
 /// The workspace's shared FNV-1a over the exact bit patterns of a
 /// matrix, row-major.

@@ -1,7 +1,8 @@
-//! Differential test battery: four independent optimizers — the paper's
-//! branch-and-bound (`optimize`), its multi-threaded variant
-//! (`optimize_parallel`), brute-force `exhaustive` search, and the
-//! Held-Karp style `subset_dp` — must agree on the optimal bottleneck
+//! Differential test battery: four optimizers — the paper's
+//! branch-and-bound (`optimize`), the same search under the daemon's
+//! serving configuration (`paper()` plus prefix dominance, as
+//! `ServerConfig::default()` sets it), brute-force `exhaustive` search,
+//! and the Held-Karp style `subset_dp` — must agree on the optimal bottleneck
 //! cost for every instance, across **all five** `dsq-netsim` topology
 //! families and **both** selectivity regimes (σ ≤ 1 and the σ > 1
 //! proliferative generalization). Until this suite, baseline agreement
@@ -16,10 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use service_ordering::baselines::{exhaustive, subset_dp};
 use service_ordering::core::{
-    bottleneck_cost, optimize, optimize_parallel, BnbConfig, CommMatrix, QueryInstance, Service,
+    bottleneck_cost, optimize, optimize_with, BnbConfig, CommMatrix, QueryInstance, Service,
 };
 use service_ordering::netsim;
-use std::num::NonZeroUsize;
 
 /// The five `dsq-netsim` topology families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ fn assert_all_optimizers_agree(inst: &QueryInstance, context: &str) {
     let reference = exhaustive(inst).expect("n within exhaustive limit");
     let dp = subset_dp(inst).expect("n within DP limit");
     let bnb = optimize(inst);
-    let parallel = optimize_parallel(inst, &BnbConfig::paper(), NonZeroUsize::new(2).unwrap());
+    let serving = optimize_with(inst, &BnbConfig { use_dominance: true, ..BnbConfig::paper() });
 
     let tol = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
     assert!(
@@ -94,14 +94,14 @@ fn assert_all_optimizers_agree(inst: &QueryInstance, context: &str) {
         reference.cost()
     );
     assert!(
-        tol(parallel.cost(), reference.cost()),
-        "{context}: optimize_parallel {} vs exhaustive {}",
-        parallel.cost(),
+        tol(serving.cost(), reference.cost()),
+        "{context}: serving configuration {} vs exhaustive {}",
+        serving.cost(),
         reference.cost()
     );
-    assert!(bnb.is_proven_optimal() && parallel.is_proven_optimal());
+    assert!(bnb.is_proven_optimal() && serving.is_proven_optimal());
     for (plan, cost) in
-        [(bnb.plan(), bnb.cost()), (parallel.plan(), parallel.cost()), (dp.plan(), dp.cost())]
+        [(bnb.plan(), bnb.cost()), (serving.plan(), serving.cost()), (dp.plan(), dp.cost())]
     {
         assert!(
             tol(bottleneck_cost(inst, plan), cost),

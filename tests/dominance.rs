@@ -4,8 +4,8 @@
 //! For every ablation preset `C`, `{use_dominance: true, ..C}` must return
 //! the same plan indices and the same cost bit pattern as `C`, and that
 //! cost must be the exact subset DP's optimum. The checks cover all seven
-//! workload families (σ > 1 included), random precedence DAGs, the
-//! parallel search, warm starts and node budgets, plus one pinned
+//! workload families (σ > 1 included), random precedence DAGs, warm
+//! starts and node budgets, plus one pinned
 //! instance on which comparing `ε` alone — without the prefix product —
 //! serves a cost one ulp above the optimum.
 //!
@@ -14,10 +14,9 @@
 use proptest::prelude::*;
 use service_ordering::baselines::subset_dp;
 use service_ordering::core::{
-    bottleneck_cost, optimize_parallel, optimize_with, BnbConfig, BnbResult, Plan, QueryInstance,
+    bottleneck_cost, optimize_with, BnbConfig, BnbResult, Plan, QueryInstance,
 };
 use service_ordering::workloads::{generate, random_dag, Family};
-use std::num::NonZeroUsize;
 
 /// The ablation presets the switch must leave answer-identical.
 fn presets() -> [(&'static str, BnbConfig); 4] {
@@ -115,26 +114,6 @@ fn corpus_of_every_family_keeps_plans_and_cost_bits() {
                 &inst,
                 &format!("{} n={n} seed={seed} density={density}", family.name()),
             );
-        }
-    }
-}
-
-#[test]
-fn parallel_search_returns_the_sequential_plan() {
-    let config = with_dominance(&BnbConfig::paper());
-    for family in [Family::BtspHard, Family::ProliferativeMix, Family::Clustered] {
-        for seed in 0..3 {
-            let inst = instance(family, 9, seed, 0.0);
-            let sequential = optimize_with(&inst, &BnbConfig::paper());
-            for threads in [1usize, 2, 4] {
-                let parallel =
-                    optimize_parallel(&inst, &config, NonZeroUsize::new(threads).expect("nz"));
-                assert_identical(
-                    &sequential,
-                    &parallel,
-                    &format!("{} seed={seed} threads={threads}", family.name()),
-                );
-            }
         }
     }
 }

@@ -27,11 +27,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use service_ordering::core::{
-    bottleneck_cost, optimize_parallel, optimize_with, BnbConfig, CommMatrix, Plan, QueryInstance,
-    Service,
+    bottleneck_cost, optimize_with, BnbConfig, CommMatrix, Plan, QueryInstance, Service,
 };
 use service_ordering::workloads::{generate, Family};
-use std::num::NonZeroUsize;
 
 /// The shared corpus: every workload family at two sizes/seeds. Sizes
 /// stay small enough that the full suite is a few seconds.
@@ -164,22 +162,5 @@ fn warm_started_search_is_bit_identical_to_cold() {
             // The identity plan happened to be optimal: it is returned.
             assert_eq!(warm.plan(), &seed_plan, "{}", inst.name());
         }
-
-        // The parallel path honours the same contract (its deterministic
-        // replay makes the result thread-count independent).
-        let warm_parallel = optimize_parallel(
-            &inst,
-            &BnbConfig::paper().with_initial_incumbent(cold.plan().clone()),
-            NonZeroUsize::new(3).expect("non-zero"),
-        );
-        assert_eq!(warm_parallel.cost().to_bits(), cold.cost().to_bits(), "{}", inst.name());
-        let cold_parallel =
-            optimize_parallel(&inst, &BnbConfig::paper(), NonZeroUsize::new(3).expect("nz"));
-        assert_eq!(
-            warm_parallel.plan(),
-            cold_parallel.plan(),
-            "{}: parallel warm vs parallel cold",
-            inst.name()
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! exact method on every workload family, under every ablation
 //! configuration.
 
-use service_ordering::baselines::{exhaustive, subset_dp};
+use service_ordering::baselines::{exhaustive, greedy, subset_dp, GreedyKind};
 use service_ordering::core::{optimize_with, BnbConfig};
 use service_ordering::workloads::{random_dag, Family, Sweep};
 
@@ -52,6 +52,12 @@ fn bnb_matches_dp_with_precedence_constraints() {
                 let bnb = optimize_with(&inst, &BnbConfig::paper());
                 assert_close(bnb.cost(), dp.cost(), &format!("n={n} seed={seed} d={density}"));
                 assert!(bnb.plan().satisfies(inst.precedence().expect("present")));
+                // A feasible warm-start seed keeps the optimum and the precedence.
+                let seeded = BnbConfig::paper()
+                    .with_initial_incumbent(greedy(&inst, GreedyKind::MinTransfer).plan().clone());
+                let warm = optimize_with(&inst, &seeded);
+                assert_eq!(warm.cost().to_bits(), bnb.cost().to_bits());
+                assert!(warm.plan().satisfies(inst.precedence().expect("present")));
             }
         }
     }
