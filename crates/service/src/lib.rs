@@ -90,7 +90,7 @@ pub use planner::{
     Planner, PlannerStats,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use tiered::{HeuristicPlanner, TieredConfig, TieredPlanner, TieredStats};
+pub use tiered::{TieredConfig, TieredPlanner, TieredStats};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -189,23 +189,14 @@ impl<P: Planner + ?Sized> Planner for &P {
 #[derive(Debug)]
 pub struct ColdPlanner {
     config: BnbConfig,
-    quantization: Quantization,
     served: AtomicU64,
 }
 
 impl ColdPlanner {
-    /// A cold planner with the given optimizer configuration and the
-    /// default fingerprint quantization.
+    /// A cold planner with the given optimizer configuration; it reports
+    /// fingerprints under the default quantization.
     pub fn new(config: BnbConfig) -> Self {
-        ColdPlanner { config, quantization: Quantization::default(), served: AtomicU64::new(0) }
-    }
-
-    /// Fingerprints requests under `quantization` (only the reported
-    /// [`ServedPlan::fingerprint`] changes; plans never depend on it).
-    #[must_use]
-    pub fn with_quantization(mut self, quantization: Quantization) -> Self {
-        self.quantization = quantization;
-        self
+        ColdPlanner { config, served: AtomicU64::new(0) }
     }
 }
 
@@ -221,7 +212,7 @@ impl Planner for ColdPlanner {
             plan: result.plan().clone(),
             cost: result.cost(),
             source: ServeSource::Cold,
-            fingerprint: CanonicalKey::new(instance, &self.quantization).fingerprint(),
+            fingerprint: CanonicalKey::new(instance, &Quantization::default()).fingerprint(),
             tier: PlanTier::Exact,
             optimality_gap: Some(0.0),
             search: Some(result.stats().clone()),

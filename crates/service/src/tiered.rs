@@ -40,72 +40,14 @@
 //! exact, and [`PlanCache::snapshot`] (which skips heuristic-tier
 //! entries) persists the full working set.
 
-use crate::cache::{PendingServe, PlanCache, PlanTier, Probe, ServeSource, ServedPlan};
+use crate::cache::{PendingServe, PlanCache, PlanTier, Probe, ServedPlan};
 use crate::planner::{PlanError, Planner, PlannerStats};
 use dsq_baselines::fast_greedy;
-use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Plan, Quantization, QueryInstance};
+use dsq_core::{optimize_with, BnbConfig, Plan, QueryInstance};
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// A [`Planner`] that answers **every** request with the cubic greedy
-/// ordering from `dsq-baselines` ([`fast_greedy`](dsq_baselines)) — no
-/// cache, no search. This is tier 1 in isolation: the latency floor of
-/// the tiered serve path and the baseline the optimality-gap
-/// experiments measure against.
-#[derive(Debug)]
-pub struct HeuristicPlanner {
-    quantization: Quantization,
-    served: AtomicU64,
-}
-
-impl HeuristicPlanner {
-    /// A heuristic planner fingerprinting under the default quantization.
-    pub fn new() -> Self {
-        HeuristicPlanner { quantization: Quantization::default(), served: AtomicU64::new(0) }
-    }
-
-    /// Fingerprints requests under `quantization` (only the reported
-    /// [`ServedPlan::fingerprint`] changes; plans never depend on it).
-    #[must_use]
-    pub fn with_quantization(mut self, quantization: Quantization) -> Self {
-        self.quantization = quantization;
-        self
-    }
-}
-
-impl Default for HeuristicPlanner {
-    fn default() -> Self {
-        HeuristicPlanner::new()
-    }
-}
-
-impl Planner for HeuristicPlanner {
-    fn name(&self) -> &str {
-        "heuristic"
-    }
-
-    fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
-        let greedy = fast_greedy(instance);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        Ok(ServedPlan {
-            plan: greedy.plan().clone(),
-            cost: greedy.cost(),
-            source: ServeSource::Cold,
-            fingerprint: CanonicalKey::new(instance, &self.quantization).fingerprint(),
-            tier: PlanTier::Heuristic,
-            optimality_gap: None,
-            search: None,
-        })
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let served = self.served.load(Ordering::Relaxed);
-        PlannerStats { served, cold: served, heuristic: served, ..PlannerStats::default() }
-    }
-}
 
 /// Knobs of the background refinement pool. Passive struct; fields are
 /// public.
@@ -396,7 +338,7 @@ fn refine_loop(shared: &RefineShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
+    use crate::cache::{CacheConfig, ServeSource};
     use dsq_core::optimize;
     use dsq_workloads::{generate, Family};
 
@@ -410,26 +352,6 @@ mod tests {
             ..CacheConfig::default()
         }));
         TieredPlanner::new(cache, BnbConfig::paper())
-    }
-
-    #[test]
-    fn heuristic_planner_is_feasible_and_upper_bounds_the_optimum() {
-        let planner = HeuristicPlanner::new();
-        for seed in 0..5 {
-            let inst = instance(seed);
-            let served = planner.plan(&inst).expect("heuristic planners are infallible");
-            assert_eq!(served.tier, PlanTier::Heuristic);
-            assert_eq!(served.optimality_gap, None);
-            assert!(served.search.is_none(), "no search runs at tier 1");
-            let fresh = optimize(&inst);
-            assert!(
-                served.cost >= fresh.cost() - 1e-12,
-                "a heuristic cost can never beat the proven optimum"
-            );
-        }
-        let stats = planner.stats();
-        assert_eq!((stats.served, stats.heuristic), (5, 5));
-        assert_eq!(planner.name(), "heuristic");
     }
 
     #[test]

@@ -238,6 +238,19 @@ for line in "counter server.serve.requests 2000" "counter server.admission.proto
 done
 grep -q "^histogram server.stage.plan_ns count 2000 " "$workdir/burst-metrics.out" || \
     { echo "server_smoke: a burst request recorded no plan stage" >&2; cat "$workdir/burst-metrics.out" >&2; exit 1; }
+
+# ---- stdin stream smoke -----------------------------------------------
+# Three fresh documents concatenated on stdin, sent twice: `optimize -`
+# splits the stream with the same reader as `serve-batch -`, names the
+# requests stdin[0..2] in stream order, and the repeat round hits.
+for seed in 51 52 53; do
+    "$bin" generate --family clustered -n 7 --seed "$seed"
+done | "$bin" client --unix "$burst_sock" optimize - --repeat 2 > "$workdir/stdin.out"
+[ "$(awk '{print $1}' "$workdir/stdin.out" | tr '\n' ' ')" = \
+    "stdin[0] stdin[1] stdin[2] stdin[0] stdin[1] stdin[2] " ] || \
+    { echo "server_smoke: stdin stream misnamed" >&2; cat "$workdir/stdin.out" >&2; exit 1; }
+[ "$(grep -c " hit " "$workdir/stdin.out")" -eq 3 ] || \
+    { echo "server_smoke: stdin repeat round missed the cache" >&2; cat "$workdir/stdin.out" >&2; exit 1; }
 "$bin" client --unix "$burst_sock" shutdown | grep -qx "server draining"
 wait "$burst_pid"
 
@@ -267,4 +280,4 @@ if grep -q " tier heur" "$workdir/tiered-warm.out"; then
     exit 1
 fi
 
-echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request pipelined burst, metrics counters, tiered refinement)" >&2
+echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request pipelined burst, stdin stream, metrics counters, tiered refinement)" >&2
