@@ -19,10 +19,11 @@
 //! in-process commands on instance files, then `serve_batch`, `serve`,
 //! `client` and `fleet`); this file holds the dispatch, the usage text
 //! and the helpers they share: flag parsing, the stdin instance stream
-//! and the served-plan line. Every serving path — one-shot `optimize`,
-//! `serve-batch`, the daemon's workers and `client --fleet` — routes
-//! through the `dsq_service::Planner` trait, so they share one dispatch
-//! implementation.
+//! and the served-plan line. One-shot `optimize`, `serve-batch` and
+//! `client --fleet` route through the `dsq_service::Planner` trait, so
+//! they share one dispatch implementation. The daemon's workers do not:
+//! they finish the probe the reactor started with `PlanCache::resume`
+//! (or `TieredPlanner::resume`).
 
 #![warn(missing_docs)]
 

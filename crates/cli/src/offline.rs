@@ -58,7 +58,7 @@ pub(crate) fn generate_cmd<'a>(
             "--family" => {
                 family = Some(parse_family(args.next().ok_or("--family needs a value")?)?)
             }
-            "-n" | "--services" => n = Some(positive_flag(args, "-n")?),
+            flag @ ("-n" | "--services") => n = Some(positive_flag(args, flag)?),
             "--seed" => seed = flag_value(args, "--seed", "an integer", |_| true)?,
             other => return Err(format!("unknown generate flag `{other}`")),
         }

@@ -7,7 +7,7 @@ use crate::{
 };
 use dsq_core::{parse_instance, BnbConfig, QueryInstance};
 use dsq_server::SnapshotLock;
-use dsq_service::{plan_batch, CacheConfig, CachedPlanner, PlanCache, Planner, TieredPlanner};
+use dsq_service::{plan_batch, CacheConfig, CachedPlanner, PlanCache, TieredPlanner};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,7 +69,7 @@ pub(crate) fn serve_batch_cmd<'a>(
     };
     let elapsed = started.elapsed();
     if let Some(tiered) = &tiered_planner {
-        tiered.drain().map_err(|e| format!("refinement drain failed: {e}"))?;
+        tiered.drain();
     }
 
     for (name, result) in names.iter().zip(&results) {

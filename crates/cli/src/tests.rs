@@ -120,6 +120,13 @@ fn error_messages_are_exact() {
     assert_eq!(run_err(&["explain", file, "--plan", "0,1"]), "plan has 2 services, instance has 5");
     // Unknown family / config.
     assert_eq!(run_err(&["generate", "--family", "mesh", "-n", "4"]), "unknown family `mesh`");
+    // A bad service count names the spelling that was typed.
+    for flag in ["-n", "--services"] {
+        assert_eq!(
+            run_err(&["generate", "--family", "clustered", flag, "0"]),
+            format!("{flag} needs a positive integer")
+        );
+    }
     for name in ["zap", "extended"] {
         assert_eq!(
             run_err(&["optimize", file, "--config", name]),
@@ -430,23 +437,44 @@ fn fleet_flag_errors_are_exact() {
 /// shard deterministically, repeats hit the backends' caches, and a
 /// dead replica in the list is ridden over by failover (with the
 /// local cold fallback as the last resort).
+///
+/// The ring labels embed the daemons' ephemeral ports, so the split
+/// changes from run to run. The documents are therefore chosen by
+/// their computed home backend (the same ring `client --fleet` builds):
+/// A owns one, B owns three, and every count below is exact.
 #[test]
 fn client_fleet_shards_and_rides_over_a_dead_backend() {
-    use dsq_server::{Server, ServerConfig};
-    let quick = ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    };
+    use dsq_core::CanonicalKey;
+    use dsq_server::{RemotePlanner, Server, ServerConfig};
+    use dsq_service::{HashRing, Planner};
+    let quick = ServerConfig::default();
     let server_a = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick).expect("a starts");
     let server_b = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick).expect("b starts");
     let spec = format!("{},{}", server_a.listen_addr(), server_b.listen_addr());
+    let labels: Vec<String> = [server_a.listen_addr(), server_b.listen_addr()]
+        .iter()
+        .map(|addr| RemotePlanner::new((*addr).clone()).name().to_string())
+        .collect();
+    let ring = HashRing::new(&labels);
 
     let dir = std::env::temp_dir().join(format!("dsq-fleet-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create dir");
+    // Documents each backend owns, [A, B].
+    const OWNS: [usize; 2] = [1, 3];
     let mut files: Vec<String> = Vec::new();
-    for seed in 0..4u64 {
+    let mut owned = [0usize; 2];
+    for seed in 0u64.. {
+        if owned == OWNS {
+            break;
+        }
         let text =
             run_ok(&["generate", "--family", "clustered", "-n", "6", "--seed", &seed.to_string()]);
+        let instance = parse_instance(&text).expect("generated instances parse");
+        let home = ring.route(CanonicalKey::new(&instance, &Quantization::default()).fingerprint());
+        if owned[home] == OWNS[home] {
+            continue;
+        }
+        owned[home] += 1;
         let path = dir.join(format!("q{seed}.dsq"));
         std::fs::write(&path, text).expect("write instance");
         files.push(path.to_str().expect("utf8").to_string());
@@ -460,23 +488,19 @@ fn client_fleet_shards_and_rides_over_a_dead_backend() {
     let text = String::from_utf8(out).expect("utf8");
     assert!(text.contains(" cold "), "first pass is cold:\n{text}");
     assert!(text.contains(" hit "), "second pass hits the backend caches:\n{text}");
-    assert!(text.contains("fleet: 2 backends served 8 requests"), "{text}");
-    assert!(text.contains("0 failovers, 0 local fallbacks"), "{text}");
-    // Exact daemon-side counts. Which backend owns which document
-    // depends on the ring labels, and so on the ephemeral ports, but
-    // each backend's cache saw exactly the requests the router sent it,
-    // and each of its documents once cold and once as a hit: 8 requests
-    // and 4 hits in all.
+    assert!(
+        text.contains("fleet: 2 backends served 8 requests (2/6), 0 failovers, 0 local fallbacks"),
+        "{text}"
+    );
+    // Each backend's cache saw exactly the requests the router sent it,
+    // and each of its documents once cold and once as a hit.
     let (a, b) = (server_a.stats().cache, server_b.stats().cache);
-    let routed = format!("served 8 requests ({}/{})", a.requests(), b.requests());
-    assert!(text.contains(&routed), "{routed}:\n{text}");
-    for cache in [&a, &b] {
-        assert_eq!((cache.misses, cache.warm_starts), (cache.hits, 0), "{cache:?}");
-    }
-    assert_eq!((a.requests() + b.requests(), a.hits + b.hits), (8, 4));
+    assert_eq!((a.requests(), a.misses, a.hits, a.warm_starts), (2, 1, 1, 0), "{a:?}");
+    assert_eq!((b.requests(), b.misses, b.hits, b.warm_starts), (6, 3, 3, 0), "{b:?}");
 
     // Kill replica B: the same stream must still complete, riding
-    // over the dead backend.
+    // over the dead backend — each of B's three documents fails over
+    // to A.
     let b_addr = server_b.listen_addr().clone();
     server_b.shutdown();
     let spec = format!("{},{b_addr}", server_a.listen_addr());
@@ -485,7 +509,10 @@ fn client_fleet_shards_and_rides_over_a_dead_backend() {
     let mut out = Vec::new();
     run(&args, &mut out).expect("fleet optimize survives a dead replica");
     let text = String::from_utf8(out).expect("utf8");
-    assert!(text.contains("fleet: 2 backends served 4 requests"), "{text}");
+    assert!(
+        text.contains("fleet: 2 backends served 4 requests (4/0), 3 failovers, 0 local fallbacks"),
+        "{text}"
+    );
     server_a.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -496,10 +523,7 @@ fn client_fleet_shards_and_rides_over_a_dead_backend() {
 #[test]
 fn client_fleet_config_routes_like_fleet() {
     use dsq_server::{Server, ServerConfig};
-    let quick = ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    };
+    let quick = ServerConfig::default();
     let server_a = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick).expect("a starts");
     let server_b = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick).expect("b starts");
     let dir = std::env::temp_dir().join(format!("dsq-fleet-config-cli-{}", std::process::id()));
@@ -544,10 +568,7 @@ fn client_fleet_config_routes_like_fleet() {
 #[test]
 fn fleet_rebalance_keeps_keys_warm_across_a_grow() {
     use dsq_server::{Server, ServerConfig};
-    let quick = ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    };
+    let quick = ServerConfig::default();
     let tcp = || ListenAddr::Tcp("127.0.0.1:0".into());
     let server_a = Server::start(&tcp(), &quick).expect("a starts");
     let server_b = Server::start(&tcp(), &quick).expect("b starts");
@@ -628,10 +649,7 @@ fn serve_batch_refuses_a_locked_snapshot_path() {
 #[test]
 fn client_metrics_and_hold_against_a_live_daemon() {
     use dsq_server::{Server, ServerConfig};
-    let quick = ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    };
+    let quick = ServerConfig::default();
     let server = Server::start(&ListenAddr::Tcp("127.0.0.1:0".into()), &quick).expect("starts");
     let addr = server.listen_addr().to_string();
 

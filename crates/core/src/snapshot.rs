@@ -139,23 +139,6 @@ impl PlanSnapshot {
         PlanSnapshot { resolution: quantization.resolution, entries }
     }
 
-    /// Splits the snapshot into `(moved, retained)` by a fingerprint
-    /// predicate, preserving entry order in both halves and the
-    /// resolution header in each. This is the partition step of a fleet
-    /// rebalance: `moved(fp)` is "does this entry's consistent-hash
-    /// owner change under the new ring" — the `moved` half streams to
-    /// the inheriting backend, the `retained` half stays home. Every
-    /// entry lands in exactly one half.
-    pub fn partition(self, mut moved: impl FnMut(u64) -> bool) -> (PlanSnapshot, PlanSnapshot) {
-        let resolution = self.resolution;
-        let (moving, staying): (Vec<SnapshotEntry>, Vec<SnapshotEntry>) =
-            self.entries.into_iter().partition(|entry| moved(entry.fingerprint));
-        (
-            PlanSnapshot { resolution, entries: moving },
-            PlanSnapshot { resolution, entries: staying },
-        )
-    }
-
     /// Parses the text format (see module docs).
     ///
     /// # Errors
@@ -276,23 +259,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn partition_splits_every_entry_into_exactly_one_half() {
-        let snapshot = demo();
-        let all = snapshot.entries.clone();
-        let (moved, retained) = snapshot.partition(|fp| fp == u64::MAX);
-        assert_eq!(moved.resolution, 0.05);
-        assert_eq!(retained.resolution, 0.05);
-        assert_eq!(moved.entries.len(), 1);
-        assert_eq!(retained.entries.len(), 1);
-        assert_eq!(moved.entries[0], all[1]);
-        assert_eq!(retained.entries[0], all[0]);
-
-        let (everything, nothing) = demo().partition(|_| true);
-        assert_eq!(everything.entries, all);
-        assert!(nothing.entries.is_empty());
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn server_config(snapshot: Option<PathBuf>) -> ServerConfig {
         },
         snapshot_path: snapshot,
         snapshot_interval: Duration::from_secs(3600), // final write only
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     }
 }
@@ -263,7 +262,7 @@ fn boundary_recovery(ctx: &ExperimentContext) -> Table {
             probes,
             ..CacheConfig::default()
         });
-        // Through the Planner seam, like every other serve path.
+        // Through the Planner seam, like `serve-batch`.
         let planner = CachedPlanner::new(&cache, BnbConfig::paper());
         for inst in &stream {
             planner.plan(inst).expect("local planners are infallible");

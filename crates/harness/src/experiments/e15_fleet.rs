@@ -14,7 +14,6 @@ use dsq_service::{CacheConfig, ColdPlanner, FleetPlanner, Planner, ServeSource};
 use dsq_workloads::{DriftConfig, DriftStream, Family};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Registry entry.
 pub fn experiment() -> Experiment {
@@ -53,7 +52,6 @@ fn server_config() -> ServerConfig {
             probes: 1, // the adversary here is capacity, not boundaries
             ..CacheConfig::default()
         },
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     }
 }

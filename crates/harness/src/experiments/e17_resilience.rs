@@ -15,14 +15,13 @@ use dsq_server::{
 };
 use dsq_service::{
     BreakerConfig, BreakerState, CacheConfig, ColdPlanner, FleetPlanner, HashRing, PlanError,
-    Planner, PlannerStats, ServeSource, ServedPlan, DEFAULT_VNODES,
+    Planner, ServeSource, ServedPlan, DEFAULT_VNODES,
 };
 use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Registry entry.
 pub fn experiment() -> Experiment {
@@ -57,7 +56,6 @@ fn server_config() -> ServerConfig {
             probes: 1,
             ..CacheConfig::default()
         },
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     }
 }
@@ -273,10 +271,6 @@ impl Planner for FlakyBackend {
             return Err(PlanError::Transport(format!("{}: injected outage", self.name)));
         }
         self.cold.plan(instance)
-    }
-
-    fn stats(&self) -> PlannerStats {
-        self.cold.stats()
     }
 }
 

@@ -31,7 +31,6 @@ pub fn experiment() -> Experiment {
 fn quick_server() -> ServerConfig {
     ServerConfig {
         workers: NonZeroUsize::new(1).expect("non-zero"), // single-core CI
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     }
 }

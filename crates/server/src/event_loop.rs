@@ -80,6 +80,12 @@ const READ_BUDGET: usize = 256 * 1024;
 /// (a client pipelining requests without draining responses).
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
+/// Heartbeat of the reactor's poll: the longest the reactor sleeps
+/// when nothing happens. It only paces the drain-deadline check; socket
+/// events, worker completions and `Server::shutdown` all wake the poll
+/// at once (the latter two through the waker pipe).
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 /// How long a graceful drain waits for peers that stopped reading
 /// before force-closing their connections.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
@@ -639,7 +645,7 @@ pub(crate) fn run(listener: Listener, poll: Poll, inner: &Inner, job_tx: &SyncSe
     loop {
         // The timeout is a heartbeat, not the latency floor: workers
         // and `Server::shutdown` wake the poll through the pipe.
-        let _ = poll.poll(&mut events, Some(inner.poll_interval));
+        let _ = poll.poll(&mut events, Some(POLL_INTERVAL));
 
         let mut accept_ready = false;
         // Connections touched this tick: by a socket event (with its

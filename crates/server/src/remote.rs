@@ -2,15 +2,15 @@
 //! wire-protocol counterpart of `dsq_service::CachedPlanner`, with a
 //! busy retry/backoff policy and lazy reconnection, so a fleet router
 //! (or any other `Planner` consumer) can treat a remote daemon exactly
-//! like a local cache.
+//! like a local cache. It keeps no counters of its own: the daemon
+//! behind it exports every serving count as `server.serve.*`.
 
 use crate::client::{Client, RetryPolicy};
 use crate::net::ListenAddr;
 use crate::protocol::Response;
 use dsq_core::{format_instance, Plan, QueryInstance};
-use dsq_service::{PlanError, PlanTier, Planner, PlannerStats, ServeSource, ServedPlan};
+use dsq_service::{PlanError, Planner, ServedPlan};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A [`Planner`] that forwards every request to a remote daemon over the
@@ -35,13 +35,6 @@ pub struct RemotePlanner {
     policy: RetryPolicy,
     label: String,
     client: Mutex<Option<Client>>,
-    served: AtomicU64,
-    hits: AtomicU64,
-    warm_starts: AtomicU64,
-    cold: AtomicU64,
-    heuristic: AtomicU64,
-    retries: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl RemotePlanner {
@@ -53,13 +46,6 @@ impl RemotePlanner {
             addr,
             policy: RetryPolicy::default(),
             client: Mutex::new(None),
-            served: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-            cold: AtomicU64::new(0),
-            heuristic: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         }
     }
 
@@ -68,16 +54,6 @@ impl RemotePlanner {
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The backend address.
-    pub fn addr(&self) -> &ListenAddr {
-        &self.addr
-    }
-
-    fn failure(&self, error: PlanError) -> PlanError {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        error
     }
 }
 
@@ -104,78 +80,34 @@ impl Planner for RemotePlanner {
         let mut client = match slot.take() {
             Some(client) => client,
             None => Client::connect(&self.addr).map_err(|e| {
-                self.failure(PlanError::Transport(format!("cannot connect to {}: {e}", self.addr)))
+                PlanError::Transport(format!("cannot connect to {}: {e}", self.addr))
             })?,
         };
-        let (response, busy_replies) = match client.optimize_text_with_retry(&text, &self.policy) {
-            Ok(outcome) => outcome,
-            // The connection is dropped: after a transport error or a
-            // line that does not parse, the stream position is unknown.
-            Err(e) => return Err(self.failure(io_plan_error(&e))),
-        };
-        self.retries.fetch_add(u64::from(busy_replies), Ordering::Relaxed);
+        // On an error the connection is dropped: after a transport error
+        // or a line that does not parse, the stream position is unknown.
+        let (response, _busy_replies) =
+            client.optimize_text_with_retry(&text, &self.policy).map_err(|e| io_plan_error(&e))?;
         match response {
             Response::Served { source, cost, fingerprint, plan, tier } => {
                 *slot = Some(client); // request/response complete: reusable
-                let plan = Plan::new(plan).map_err(|e| {
-                    self.failure(PlanError::Protocol(format!("served plan is invalid: {e}")))
-                })?;
-                self.served.fetch_add(1, Ordering::Relaxed);
-                match source {
-                    ServeSource::CacheHit => self.hits.fetch_add(1, Ordering::Relaxed),
-                    ServeSource::WarmStart => self.warm_starts.fetch_add(1, Ordering::Relaxed),
-                    ServeSource::Cold => self.cold.fetch_add(1, Ordering::Relaxed),
-                };
-                self.heuristic.fetch_add(u64::from(tier == PlanTier::Heuristic), Ordering::Relaxed);
-                // The gap is tier-implied: an exact plan is proven
-                // optimal, a heuristic one is unquantified until its
-                // backend-side refinement lands.
-                let optimality_gap = match tier {
-                    PlanTier::Exact => Some(0.0),
-                    PlanTier::Heuristic => None,
-                };
-                Ok(ServedPlan {
-                    plan,
-                    cost,
-                    source,
-                    fingerprint,
-                    tier,
-                    optimality_gap,
-                    search: None,
-                })
+                let plan = Plan::new(plan)
+                    .map_err(|e| PlanError::Protocol(format!("served plan is invalid: {e}")))?;
+                Ok(ServedPlan { plan, cost, source, fingerprint, tier, search: None })
             }
             Response::Busy { retry_after_ms } => {
                 *slot = Some(client); // the server stays in framing sync
-                Err(self.failure(PlanError::Busy { retry_after_ms }))
+                Err(PlanError::Busy { retry_after_ms })
             }
             Response::Error { message } => {
                 *slot = Some(client); // error replies keep the connection usable
-                Err(self.failure(PlanError::Backend(message)))
+                Err(PlanError::Backend(message))
             }
             // A pong/stats/draining reply to an optimize request means
             // the framing is out of sync: drop the connection.
-            other => Err(self.failure(PlanError::Protocol(format!(
+            other => Err(PlanError::Protocol(format!(
                 "unexpected response to an optimize request: `{}`",
                 other.to_line()
-            )))),
+            ))),
         }
-    }
-
-    fn stats(&self) -> PlannerStats {
-        PlannerStats {
-            served: self.served.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            cold: self.cold.load(Ordering::Relaxed),
-            heuristic: self.heuristic.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            ..PlannerStats::default()
-        }
-    }
-
-    fn drain(&self) -> Result<(), PlanError> {
-        *self.client.lock().expect("client lock") = None;
-        Ok(())
     }
 }

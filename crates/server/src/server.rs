@@ -8,8 +8,8 @@ use crate::metrics::ServerMetrics;
 use crate::net::{FaultProfile, ListenAddr, Listener};
 use dsq_core::{BnbConfig, QueryInstance};
 use dsq_service::{
-    CacheConfig, CacheStats, PendingServe, PlanCache, PlanError, Planner, ServedPlan,
-    TieredPlanner, TieredStats,
+    CacheConfig, CacheStats, PendingServe, PlanCache, PlanError, ServedPlan, TieredPlanner,
+    TieredStats,
 };
 use dsq_telemetry::Stopwatch;
 use std::fmt;
@@ -67,11 +67,6 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Period of the background snapshot writer.
     pub snapshot_interval: Duration,
-    /// Heartbeat of the reactor's poll: the upper bound on how stale the
-    /// shutdown flag can go unobserved when no socket event or worker
-    /// wakeup arrives first (events and completions wake the reactor
-    /// immediately).
-    pub poll_interval: Duration,
     /// Two-tier anytime serving: cache misses are answered immediately
     /// with a greedy heuristic plan (tier 1, `tier heur` on the wire)
     /// while a background pool refines them to exact and upgrades the
@@ -115,7 +110,6 @@ impl Default for ServerConfig {
             cache: CacheConfig { probes: 2, ..CacheConfig::default() },
             snapshot_path: None,
             snapshot_interval: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(20),
             tiered: false,
             chaos: None,
             max_pipeline: DEFAULT_MAX_PIPELINE,
@@ -317,7 +311,6 @@ pub(crate) struct Inner {
     /// the worker decrements after planning, so the increment always
     /// precedes the decrement.
     pub(crate) outstanding: AtomicUsize,
-    pub(crate) poll_interval: Duration,
     /// Fault-injection profile wrapped around every accepted
     /// connection's stream; `None` serves cleanly.
     pub(crate) chaos: Option<FaultProfile>,
@@ -457,7 +450,6 @@ impl Server {
             debug_panic_verb: config.debug_panic_verb.clone(),
             metrics: ServerMetrics::default(),
             outstanding: AtomicUsize::new(0),
-            poll_interval: config.poll_interval,
             chaos: config.chaos,
             completions: Mutex::new(Vec::new()),
             waker,
@@ -597,7 +589,7 @@ impl Server {
         // final snapshot: heuristic-tier entries are never persisted, so
         // an undrained queue would cost the next warm restart its plans.
         if let Some(tiered) = &self.inner.tiered {
-            let _ = tiered.drain();
+            tiered.drain();
         }
         if let Some(path) = &self.snapshot_path {
             self.inner.write_snapshot(path);

@@ -9,11 +9,6 @@ use dsq_server::{
 };
 use dsq_service::{HashRing, PlanError, Planner, DEFAULT_VNODES};
 use dsq_workloads::{generate, Family};
-use std::time::Duration;
-
-fn quick_config() -> ServerConfig {
-    ServerConfig { poll_interval: Duration::from_millis(2), ..ServerConfig::default() }
-}
 
 fn tcp() -> ListenAddr {
     ListenAddr::Tcp("127.0.0.1:0".into())
@@ -26,8 +21,8 @@ fn tcp() -> ListenAddr {
 /// (the handoff moved entries, it did not copy them).
 #[test]
 fn partition_handoff_moves_warm_entries_between_servers() {
-    let donor = Server::start(&tcp(), &quick_config()).expect("start donor");
-    let inheritor = Server::start(&tcp(), &quick_config()).expect("start inheritor");
+    let donor = Server::start(&tcp(), &ServerConfig::default()).expect("start donor");
+    let inheritor = Server::start(&tcp(), &ServerConfig::default()).expect("start inheritor");
     let backends = vec!["backend-a".to_string(), "backend-b".to_string()];
     let ring = HashRing::new(&backends);
 
@@ -100,7 +95,7 @@ fn partition_handoff_moves_warm_entries_between_servers() {
 /// duplicate-endpoint message the fleet-config validator pins.
 #[test]
 fn export_rejects_bad_layouts_and_keeps_the_connection() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let dup = ExportRequest {
         vnodes: 8,
@@ -123,7 +118,7 @@ fn export_rejects_bad_layouts_and_keeps_the_connection() {
 /// resolution) earns a typed error reply; the stream stays in sync.
 #[test]
 fn import_rejects_mismatched_snapshots() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let alien = dsq_core::PlanSnapshot { resolution: 0.125, entries: Vec::new() };
     let err = client.import_partition(&alien).expect_err("mismatched resolution must be refused");
@@ -142,8 +137,10 @@ fn import_rejects_mismatched_snapshots() {
 #[test]
 fn chaos_battery_yields_typed_errors_and_zero_protocol_errors() {
     for chaos_seed in [7u64, 1234] {
-        let config =
-            ServerConfig { chaos: Some(FaultProfile::moderate(chaos_seed)), ..quick_config() };
+        let config = ServerConfig {
+            chaos: Some(FaultProfile::moderate(chaos_seed)),
+            ..ServerConfig::default()
+        };
         let server = Server::start(&tcp(), &config).expect("start chaotic server");
         let planner = RemotePlanner::new(server.listen_addr().clone());
         let mut outcomes = [0u64; 2]; // [served, typed errors]
@@ -180,8 +177,10 @@ fn chaos_battery_yields_typed_errors_and_zero_protocol_errors() {
 #[test]
 fn chaos_schedule_is_deterministic_per_seed() {
     let run = |chaos_seed: u64| -> Vec<bool> {
-        let config =
-            ServerConfig { chaos: Some(FaultProfile::moderate(chaos_seed)), ..quick_config() };
+        let config = ServerConfig {
+            chaos: Some(FaultProfile::moderate(chaos_seed)),
+            ..ServerConfig::default()
+        };
         let server = Server::start(&tcp(), &config).expect("start");
         // One connection, a fixed request sequence: the fault pattern is
         // a pure function of the seed and the accept index.

@@ -22,10 +22,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn quick_config() -> ServerConfig {
-    ServerConfig { poll_interval: Duration::from_millis(2), ..ServerConfig::default() }
-}
-
 fn tcp() -> ListenAddr {
     ListenAddr::Tcp("127.0.0.1:0".into())
 }
@@ -53,7 +49,7 @@ fn raw_connect(addr: &ListenAddr) -> TcpStream {
 /// only existed on Linux.
 #[test]
 fn a_thousand_idle_connections_cost_no_threads() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let report = dsq_server::hold_connections(server.listen_addr(), 1050).expect("hold");
     assert_eq!(
         (report.requested, report.held, report.dropped),
@@ -77,7 +73,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
 /// whole batch costs the client exactly one socket write.
 #[test]
 fn pipelined_requests_are_answered_in_request_order() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let instances: Vec<_> = (0..12).map(|s| generate(Family::Clustered, 7, 700 + s)).collect();
 
     let mut pipelined = Client::connect(server.listen_addr()).expect("connect");
@@ -132,7 +128,7 @@ fn inline_hits_behind_misses_keep_request_order() {
     let c = generate(Family::BtspHard, 12, 1302);
     // B is resident before the window (imported, not served), so each
     // server's counters are exactly the window's.
-    let seeded = PlanCache::new(quick_config().cache);
+    let seeded = PlanCache::new(ServerConfig::default().cache);
     seeded.serve(&b, &BnbConfig::paper());
     let partition = seeded.snapshot();
     let document = |instance: &QueryInstance| {
@@ -145,7 +141,7 @@ fn inline_hits_behind_misses_keep_request_order() {
     let requests = [document(&a), document(&b), document(&c), document(&b), "ping\n".into()];
 
     let serve = |pipelined: bool| {
-        let server = Server::start(&tcp(), &quick_config()).expect("start");
+        let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
         let mut control = Client::connect(server.listen_addr()).expect("connect");
         assert_eq!(control.import_partition(&partition).expect("import B"), 1);
         let mut socket = raw_connect(server.listen_addr());
@@ -203,7 +199,7 @@ fn inline_hits_behind_misses_keep_request_order() {
 /// were.
 #[test]
 fn immediate_verbs_interleave_inside_a_pipeline() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let doc = dsq_core::format_instance(&generate(Family::Euclidean, 6, 811));
     let batch = vec![
@@ -230,7 +226,7 @@ fn immediate_verbs_interleave_inside_a_pipeline() {
 /// of each per request.
 #[test]
 fn pipelining_coalesces_reads_and_writes() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
 
     let mut sequential = Client::connect(server.listen_addr()).expect("connect");
     for _ in 0..64 {
@@ -257,7 +253,7 @@ fn pipelining_coalesces_reads_and_writes() {
 /// response line, same bytes, nothing extra on the stream.
 #[test]
 fn single_request_exchanges_are_byte_identical() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut socket = raw_connect(server.listen_addr());
     socket.write_all(b"ping\n").expect("write ping");
     let mut reader = BufReader::new(socket.try_clone().expect("clone socket"));
@@ -300,7 +296,7 @@ fn single_request_exchanges_are_byte_identical() {
 /// hints stay inside `[base, 16 × base]`.
 #[test]
 fn outstanding_gauge_cannot_underflow() {
-    let config = ServerConfig { queue_capacity: 1, retry_after_ms: 7, ..quick_config() };
+    let config = ServerConfig { queue_capacity: 1, retry_after_ms: 7, ..ServerConfig::default() };
     let server = Server::start(&tcp(), &config).expect("start");
 
     // Tiny instances make workers finish as fast as possible — the
@@ -355,7 +351,8 @@ fn outstanding_gauge_cannot_underflow() {
 /// dies, the server keeps serving.
 #[test]
 fn connection_panics_are_counted_and_contained() {
-    let config = ServerConfig { debug_panic_verb: Some("panic-now".to_string()), ..quick_config() };
+    let config =
+        ServerConfig { debug_panic_verb: Some("panic-now".to_string()), ..ServerConfig::default() };
     let server = Server::start(&tcp(), &config).expect("start");
 
     let mut socket = raw_connect(server.listen_addr());
@@ -388,7 +385,7 @@ fn undelivered_exports_roll_back_and_are_counted() {
     let clean = ServerConfig {
         snapshot_path: Some(snapshot.clone()),
         snapshot_interval: Duration::from_secs(3600),
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let warm = Server::start(&tcp(), &clean).expect("start warm");
     let mut client = Client::connect(warm.listen_addr()).expect("connect");
@@ -414,7 +411,7 @@ fn undelivered_exports_roll_back_and_are_counted() {
         snapshot_path: Some(snapshot.clone()),
         snapshot_interval: Duration::from_secs(3600),
         chaos: Some(lethal),
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let server = Server::start(&tcp(), &chaotic).expect("restart");
     assert_eq!(server.stats().cache.entries, warmed, "warm restart");
@@ -446,7 +443,7 @@ fn undelivered_exports_roll_back_and_are_counted() {
 /// is buffered.
 #[test]
 fn import_cap_applies_before_every_line_including_the_trailer() {
-    let config = ServerConfig { max_import_bytes: 80, ..quick_config() };
+    let config = ServerConfig { max_import_bytes: 80, ..ServerConfig::default() };
     let server = Server::start(&tcp(), &config).expect("start");
 
     // A body line that would blow the cap is refused before buffering.

@@ -88,7 +88,6 @@ fn malformed_busy_line_is_a_typed_protocol_error() {
         }
         other => panic!("expected a protocol error, got {other:?}"),
     }
-    assert_eq!(planner.stats().errors, 1);
     handle.join().expect("fake server exits");
 }
 
@@ -162,10 +161,8 @@ fn busy_beyond_the_retry_budget_is_a_typed_busy_error() {
     let policy = RetryPolicy { max_attempts: 2, ..no_retry() };
     let planner = RemotePlanner::new(addr).with_policy(policy);
     let error = planner.plan(&request()).expect_err("budget exhausted");
+    // The second hint proves the first busy was absorbed by one retry.
     assert_eq!(error, PlanError::Busy { retry_after_ms: 9 }, "the LAST hint is reported");
-    let stats = planner.stats();
-    assert_eq!(stats.retries, 1, "one busy was absorbed by retrying");
-    assert_eq!(stats.errors, 1);
     handle.join().expect("fake server exits");
 }
 
@@ -183,8 +180,7 @@ fn unreachable_backends_are_transport_errors() {
 fn planner_reconnects_after_a_backend_restart() {
     let path = std::env::temp_dir().join(format!("dsq-remote-restart-{}.sock", std::process::id()));
     let addr = ListenAddr::Unix(path.clone());
-    let config =
-        ServerConfig { poll_interval: Duration::from_millis(2), ..ServerConfig::default() };
+    let config = ServerConfig::default();
     let planner = RemotePlanner::new(addr.clone());
     let instance = request();
     let fresh = optimize(&instance);
@@ -204,11 +200,6 @@ fn planner_reconnects_after_a_backend_restart() {
     assert_eq!(served.cost.to_bits(), fresh.cost().to_bits());
     assert_eq!(served.source, ServeSource::Cold, "the restarted cache is cold");
     server.shutdown();
-
-    let stats = planner.stats();
-    assert_eq!(stats.served, 2);
-    assert_eq!(stats.errors, 1);
-    assert!(planner.drain().is_ok());
 }
 
 /// `optimize_text_with_retry` against a 1-slot server.
@@ -221,7 +212,6 @@ fn retry_helper_rides_out_a_one_slot_server() {
         workers: NonZeroUsize::new(1).expect("non-zero"),
         queue_capacity: 1,
         retry_after_ms: 5,
-        poll_interval: Duration::from_millis(2),
         // The burst overflows only while the worker is busy searching:
         // keep the slower paper search, as the default configuration's
         // prefix dominance finishes these searches in a fraction of the
@@ -287,7 +277,6 @@ fn busy_hints_scale_with_load_but_stay_bounded() {
         workers: NonZeroUsize::new(1).expect("non-zero"),
         queue_capacity: 1,
         retry_after_ms: base,
-        poll_interval: Duration::from_millis(2),
         // The burst overflows only while the worker is busy searching:
         // keep the slower paper search, as prefix dominance shortens
         // some searches enough to let a loaded host drain the burst

@@ -12,10 +12,6 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn quick_config() -> ServerConfig {
-    ServerConfig { poll_interval: Duration::from_millis(2), ..ServerConfig::default() }
-}
-
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -28,7 +24,7 @@ fn tcp() -> ListenAddr {
 
 #[test]
 fn serves_optimal_plans_over_tcp() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     for seed in 0..3 {
         let instance = generate(Family::Clustered, 7, seed);
@@ -61,7 +57,7 @@ fn serves_optimal_plans_over_tcp() {
 fn serves_over_unix_sockets_and_cleans_up_the_path() {
     let path = temp_path("sock");
     let addr = ListenAddr::Unix(path.clone());
-    let server = Server::start(&addr, &quick_config()).expect("start");
+    let server = Server::start(&addr, &ServerConfig::default()).expect("start");
     assert!(path.exists(), "socket file bound");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     assert_eq!(client.ping().expect("ping"), Response::Pong);
@@ -71,13 +67,13 @@ fn serves_over_unix_sockets_and_cleans_up_the_path() {
     assert!(!path.exists(), "socket file unlinked on shutdown");
     // A stale (dead) socket file does not block a restart.
     std::fs::write(&path, b"").expect("plant stale file");
-    let server = Server::start(&addr, &quick_config()).expect("rebinds over stale socket");
+    let server = Server::start(&addr, &ServerConfig::default()).expect("rebinds over stale socket");
     server.shutdown();
 }
 
 #[test]
 fn protocol_errors_keep_the_connection_usable() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     // Unparseable instance: an error response, then normal service.
     match client.optimize_text("dsq-instance v1\nname broken\nn 2\n").expect("round trip") {
@@ -97,7 +93,7 @@ fn protocol_errors_keep_the_connection_usable() {
 /// `server.<group>.<token>` name and at its exact value.
 #[test]
 fn metrics_verb_reports_the_serving_counters() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let instance = generate(Family::Correlated, 6, 9);
     client.optimize(&instance).expect("cold");
@@ -122,7 +118,7 @@ fn metrics_verb_reports_the_serving_counters() {
 /// the connection keeps answering.
 #[test]
 fn a_removed_verb_is_an_unknown_request_not_a_hang() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let ListenAddr::Tcp(addr) = server.listen_addr() else { unreachable!("bound on TCP") };
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(b"ping\nstats\nping\n").expect("write frame");
@@ -147,7 +143,7 @@ fn a_removed_verb_is_an_unknown_request_not_a_hang() {
 /// line).
 #[test]
 fn metrics_verb_streams_stage_histograms_and_counters() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let instance = generate(Family::Correlated, 6, 9);
     client.optimize(&instance).expect("cold");
@@ -185,7 +181,7 @@ fn daemon_replies_match_the_in_process_cached_planner() {
     // A 1% validation tolerance (the default is 5%) lets the drift push
     // some entries out of tolerance, so the stream exercises warm starts
     // as well as hits and cold misses.
-    let mut config = quick_config();
+    let mut config = ServerConfig::default();
     config.cache.validation_tolerance = 0.01;
     let server = Server::start(&tcp(), &config).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
@@ -218,7 +214,7 @@ fn daemon_replies_match_the_in_process_cached_planner() {
 /// stage, pipeline-depth and coalescing names).
 #[test]
 fn metrics_exposition_names_are_pinned() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let instance = generate(Family::Correlated, 6, 9);
     client.optimize(&instance).expect("cold");
@@ -274,7 +270,7 @@ fn full_queue_rejects_with_busy_instead_of_stalling() {
         workers: NonZeroUsize::new(1).expect("non-zero"),
         queue_capacity: 1,
         retry_after_ms: 7,
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let server = Server::start(&tcp(), &config).expect("start");
     let addr = server.listen_addr().clone();
@@ -339,7 +335,7 @@ fn shutdown_drains_in_flight_requests() {
     let config = ServerConfig {
         workers: NonZeroUsize::new(1).expect("non-zero"),
         queue_capacity: 8,
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let server = Server::start(&tcp(), &config).expect("start");
     let addr = server.listen_addr().clone();
@@ -372,7 +368,7 @@ fn shutdown_drains_in_flight_requests() {
 /// `wait_shutdown_requested`.
 #[test]
 fn shutdown_verb_signals_the_embedder() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     assert!(!server.shutdown_requested());
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     assert_eq!(client.shutdown_server().expect("verb"), Response::Draining);
@@ -389,7 +385,7 @@ fn warm_restart_from_a_snapshot_file() {
     let config = ServerConfig {
         snapshot_path: Some(snapshot.clone()),
         snapshot_interval: Duration::from_secs(3600), // only the final write
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let instances: Vec<_> = (0..4).map(|s| generate(Family::Clustered, 7, 20 + s)).collect();
 
@@ -433,7 +429,7 @@ fn warm_restart_from_a_snapshot_file() {
 fn corrupt_snapshots_fail_startup() {
     let snapshot = temp_path("corrupt");
     std::fs::write(&snapshot, "dsq-plan-cache v9\n").expect("write corrupt snapshot");
-    let config = ServerConfig { snapshot_path: Some(snapshot.clone()), ..quick_config() };
+    let config = ServerConfig { snapshot_path: Some(snapshot.clone()), ..ServerConfig::default() };
     let err = Server::start(&tcp(), &config).expect_err("must refuse");
     assert!(err.to_string().contains("cannot restore snapshot"), "{err}");
     std::fs::remove_file(&snapshot).ok();
@@ -445,13 +441,13 @@ fn corrupt_snapshots_fail_startup() {
 #[test]
 fn snapshot_paths_are_locked_against_a_second_live_server() {
     let snapshot = temp_path("locked");
-    let config = ServerConfig { snapshot_path: Some(snapshot.clone()), ..quick_config() };
+    let config = ServerConfig { snapshot_path: Some(snapshot.clone()), ..ServerConfig::default() };
     let first = Server::start(&tcp(), &config).expect("first server starts");
     let err = Server::start(&tcp(), &config).expect_err("second server must refuse");
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
     assert!(err.to_string().contains("locked by live process"), "{err}");
     // Snapshot-free servers are unaffected.
-    Server::start(&tcp(), &quick_config()).expect("no-snapshot server starts").shutdown();
+    Server::start(&tcp(), &ServerConfig::default()).expect("no-snapshot server starts").shutdown();
     first.shutdown();
     assert!(!dsq_server::lock_path(&snapshot).exists(), "shutdown releases the lock");
     // The path is reusable once the holder is gone.
@@ -466,7 +462,7 @@ fn periodic_snapshots_are_written() {
     let config = ServerConfig {
         snapshot_path: Some(snapshot.clone()),
         snapshot_interval: Duration::from_millis(20),
-        ..quick_config()
+        ..ServerConfig::default()
     };
     let server = Server::start(&tcp(), &config).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
@@ -486,7 +482,7 @@ fn periodic_snapshots_are_written() {
 /// though read timeouts can split multi-byte characters.
 #[test]
 fn non_ascii_instance_names_round_trip() {
-    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let mut client = Client::connect(server.listen_addr()).expect("connect");
     let base = generate(Family::Clustered, 6, 2);
     let named = dsq_core::QueryInstance::builder()
@@ -514,8 +510,8 @@ fn non_ascii_instance_names_round_trip() {
 fn live_unix_sockets_are_not_clobbered() {
     let path = temp_path("live");
     let addr = ListenAddr::Unix(path.clone());
-    let server = Server::start(&addr, &quick_config()).expect("start");
-    let err = Server::start(&addr, &quick_config()).expect_err("second bind must fail");
+    let server = Server::start(&addr, &ServerConfig::default()).expect("start");
+    let err = Server::start(&addr, &ServerConfig::default()).expect_err("second bind must fail");
     assert!(err.to_string().contains("in use by a live server"), "{err}");
     server.shutdown();
 }

@@ -119,11 +119,6 @@ pub struct ServedPlan {
     /// Quality tier: [`PlanTier::Exact`] everywhere except the tiered
     /// fast path, which answers misses with an unrefined heuristic plan.
     pub tier: PlanTier,
-    /// Relative optimality gap of the plan when it is known:
-    /// `Some(0.0)` for exact-tier plans, `None` for a heuristic plan
-    /// whose background refinement has not landed yet (the gap is
-    /// unknown until the exact cost exists).
-    pub optimality_gap: Option<f64>,
     /// Statistics of the search that ran, if one did (`None` for pure
     /// cache hits).
     pub search: Option<SearchStats>,
@@ -642,7 +637,6 @@ impl PlanCache {
                         source: ServeSource::Cold,
                         fingerprint,
                         tier: PlanTier::Heuristic,
-                        optimality_gap: None,
                         search: None,
                     };
                 }
@@ -684,7 +678,6 @@ impl PlanCache {
             source,
             fingerprint,
             tier: PlanTier::Exact,
-            optimality_gap: Some(0.0),
             search: Some(result.stats().clone()),
         }
     }
@@ -717,15 +710,13 @@ impl PlanCache {
         if spread > self.config.validation_tolerance * exact.abs().max(cached_cost.abs()) {
             return Lookup::Stale(plan);
         }
-        let (tier, optimality_gap) =
-            if entry_exact { (PlanTier::Exact, Some(0.0)) } else { (PlanTier::Heuristic, None) };
+        let tier = if entry_exact { PlanTier::Exact } else { PlanTier::Heuristic };
         let served = ServedPlan {
             plan,
             cost: exact,
             source: ServeSource::CacheHit,
             fingerprint: key.fingerprint(),
             tier,
-            optimality_gap,
             search: None,
         };
         Lookup::Hit { served, answered, via_probe2 }

@@ -17,24 +17,26 @@
 //!   branch-and-bound via
 //!   [`BnbConfig::initial_incumbent`](dsq_core::BnbConfig), which prunes
 //!   most of the tree while preserving exact optimality.
-//! * [`Planner`] — the one trait every optimize entry point sits
-//!   behind: [`ColdPlanner`] (fresh search per request),
-//!   [`CachedPlanner`] (the cache semantics above), the wire-speaking
-//!   `RemotePlanner` in `dsq-server`, and [`FleetPlanner`], which
-//!   shards requests across N backends over a consistent-hash
-//!   [`HashRing`] keyed by canonical fingerprint (each backend's LRU
-//!   sees a disjoint, stable keyspace, and a resize remaps only ~1/N of
-//!   it), fails over along ring successors, ejects flapping backends
-//!   through per-backend [`CircuitBreaker`]s (readmitted only after a
-//!   successful half-open probe), and falls back to a local planner
-//!   when every backend is down. Membership is dynamic: a versioned
-//!   [`FleetConfig`] file re-resolved by [`FleetMembership`] with
-//!   atomic generation cutover and rollback.
+//! * [`Planner`] — a name and a `plan` method, the one trait the
+//!   batch fronts and the fleet client sit behind: [`ColdPlanner`]
+//!   (fresh search per request), [`CachedPlanner`] (the cache semantics
+//!   above), the wire-speaking `RemotePlanner` in `dsq-server`, and
+//!   [`FleetPlanner`], which shards requests across N backends over a
+//!   consistent-hash [`HashRing`] keyed by canonical fingerprint (each
+//!   backend's LRU sees a disjoint, stable keyspace, and a resize remaps
+//!   only ~1/N of it), fails over along ring successors, ejects flapping
+//!   backends through per-backend [`CircuitBreaker`]s (readmitted only
+//!   after a successful half-open probe), and falls back to a local
+//!   planner when every backend is down. Counters stay where they are
+//!   counted: the cache's in [`CacheStats`], the refinement pool's in
+//!   [`TieredStats`], the fleet's routing in [`FleetStats`]. Membership
+//!   is dynamic: a versioned [`FleetConfig`] file re-resolved by
+//!   [`FleetMembership`] with atomic generation cutover.
 //! * **Two-tier anytime planning** ([`TieredPlanner`]) — misses are
 //!   answered immediately by the greedy heuristic (tier 1) and refined
 //!   to proven-optimal plans on a background worker pool that upgrades
-//!   the cache entry in place; [`ServedPlan::tier`] and
-//!   [`ServedPlan::optimality_gap`] report what a response is worth.
+//!   the cache entry in place; [`ServedPlan::tier`] reports what a
+//!   response is worth ([`PlanTier::Exact`] plans are proven optimal).
 //! * [`plan_batch`] — drains a request queue across a worker pool
 //!   sharing one planner (for a cache-backed batch, a [`CachedPlanner`]),
 //!   returning results in **request order** regardless of worker
@@ -87,7 +89,7 @@ pub use cache::{
 pub use membership::{FleetConfig, FleetConfigError, FleetMembership, FLEET_CONFIG_HEADER};
 pub use planner::{
     plan_batch, CachedPlanner, ColdPlanner, EmptyFleetError, FleetPlanner, FleetStats, PlanError,
-    Planner, PlannerStats,
+    Planner,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use tiered::{TieredConfig, TieredPlanner, TieredStats};

@@ -4,10 +4,8 @@
 //! exist — an endpoint list plus a monotonically increasing generation
 //! number. Clients load it at startup and re-resolve it between
 //! requests through a [`FleetMembership`] watcher: a generation bump is
-//! an **atomic cutover** (the watcher hands back the complete new
-//! config, never a half-applied edit, and keeps the previous generation
-//! for rollback), mirroring a non-destructive deploy — build the new
-//! version, cut over atomically, keep the old one around.
+//! an **atomic cutover**: the watcher hands back the complete new
+//! config, never a half-applied edit.
 //!
 //! The text format is deliberately shaped like the cache snapshot
 //! format (versioned header, one record per line, explicit trailer) so
@@ -213,13 +211,11 @@ impl FleetConfig {
 }
 
 /// A client-side membership watcher: holds the current generation and
-/// re-resolves the config file on demand, cutting over atomically and
-/// keeping the previous generation for rollback.
+/// re-resolves the config file on demand, cutting over atomically.
 #[derive(Debug)]
 pub struct FleetMembership {
     path: PathBuf,
     current: FleetConfig,
-    previous: Option<FleetConfig>,
 }
 
 impl FleetMembership {
@@ -231,7 +227,7 @@ impl FleetMembership {
     pub fn load(path: impl Into<PathBuf>) -> Result<Self, FleetConfigError> {
         let path = path.into();
         let current = FleetConfig::load(&path)?;
-        Ok(FleetMembership { path, current, previous: None })
+        Ok(FleetMembership { path, current })
     }
 
     /// The generation currently in effect.
@@ -239,15 +235,8 @@ impl FleetMembership {
         &self.current
     }
 
-    /// The generation that was in effect before the last cutover, kept
-    /// for rollback; `None` until the first cutover.
-    pub fn previous(&self) -> Option<&FleetConfig> {
-        self.previous.as_ref()
-    }
-
     /// Re-reads the config file. If it parses and carries a **strictly
-    /// larger** generation, cuts over to it (retiring the current
-    /// config to the rollback slot) and returns the new config. A
+    /// larger** generation, cuts over to it and returns the new config. A
     /// same-or-older generation, an unreadable file, or a malformed
     /// document leaves the current generation untouched — a botched
     /// config push can never take the fleet down.
@@ -256,17 +245,7 @@ impl FleetMembership {
         if next.generation <= self.current.generation {
             return None;
         }
-        self.previous = Some(std::mem::replace(&mut self.current, next));
-        Some(&self.current)
-    }
-
-    /// Rolls back to the previous generation (the inverse of the last
-    /// cutover), returning the restored config. No-op returning `None`
-    /// if there is nothing to roll back to. The abandoned generation
-    /// becomes the rollback slot, so rollback is its own inverse.
-    pub fn rollback(&mut self) -> Option<&FleetConfig> {
-        let previous = self.previous.take()?;
-        self.previous = Some(std::mem::replace(&mut self.current, previous));
+        self.current = next;
         Some(&self.current)
     }
 }
@@ -345,7 +324,6 @@ mod tests {
 
         let mut membership = FleetMembership::load(&path).expect("loads");
         assert_eq!(membership.current().generation, 1);
-        assert!(membership.previous().is_none());
 
         // Same generation: no cutover.
         config(1, 3).store(&path).expect("stores");
@@ -361,17 +339,12 @@ mod tests {
         assert!(membership.refresh().is_none());
         assert_eq!(membership.current().generation, 1);
 
-        // Newer generation: atomic cutover, old config kept for rollback.
+        // Newer generation: atomic cutover.
         config(2, 3).store(&path).expect("stores");
         let cut = membership.refresh().expect("cuts over").clone();
         assert_eq!(cut.generation, 2);
         assert_eq!(cut.endpoints.len(), 3);
-        assert_eq!(membership.previous().expect("rollback slot").generation, 1);
-
-        // Rollback restores the previous generation and is its own inverse.
-        assert_eq!(membership.rollback().expect("rolls back").generation, 1);
-        assert_eq!(membership.previous().expect("slot swapped").generation, 2);
-        assert_eq!(membership.rollback().expect("rolls forward").generation, 2);
+        assert_eq!(membership.current(), &cut);
 
         std::fs::remove_dir_all(&dir).ok();
     }

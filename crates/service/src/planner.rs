@@ -1,9 +1,14 @@
 //! The `Planner` seam: every way of turning a [`QueryInstance`] into a
 //! served plan — cold optimization, the plan cache, a remote daemon, or
-//! a whole fleet of them — sits behind one trait, so batch fronts,
-//! servers, experiments, and the CLI share a single dispatch path
-//! instead of re-implementing the cache-check → cold-optimize → insert
-//! sequence per entry point.
+//! a whole fleet of them — sits behind one two-method trait (`name` and
+//! `plan`), so [`plan_batch`], the fleet client and the experiments
+//! share a single dispatch path. The daemon's workers do not go through
+//! it: they finish a reactor-side probe with [`PlanCache::resume`].
+//!
+//! The trait carries no counters. Each one is stored where it is
+//! counted: serving outcomes in the cache ([`crate::CacheStats`]),
+//! refinements in the tiered pool ([`crate::TieredStats`]), routing in
+//! the fleet ([`FleetStats`]) and a daemon's in its own `metrics`.
 //!
 //! Local implementations live here ([`ColdPlanner`], [`CachedPlanner`],
 //! and the fingerprint-routing [`FleetPlanner`]); the wire-speaking
@@ -18,7 +23,7 @@ use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Quantization, QueryInstan
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 
 /// Error produced by a [`Planner`] that could not serve a request.
@@ -73,66 +78,10 @@ impl fmt::Display for EmptyFleetError {
 
 impl Error for EmptyFleetError {}
 
-/// Aggregate counters every [`Planner`] reports, regardless of how it
-/// obtains plans. Passive struct; fields are public.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlannerStats {
-    /// Requests that produced a served plan.
-    pub served: u64,
-    /// The subset of [`served`](Self::served) answered by a validated
-    /// cache hit (local or on the remote backend).
-    pub hits: u64,
-    /// The subset answered by a warm-started search.
-    pub warm_starts: u64,
-    /// The subset answered by a cold search.
-    pub cold: u64,
-    /// Requests that ended in a [`PlanError`] (after any internal
-    /// retries and failovers).
-    pub errors: u64,
-    /// Busy replies absorbed by retrying (remote planners).
-    pub retries: u64,
-    /// Requests re-routed to another backend after their home backend
-    /// failed (fleet planners).
-    pub failovers: u64,
-    /// Requests served by the local fallback after every backend failed
-    /// (fleet planners).
-    pub fallbacks: u64,
-    /// The subset of [`served`](Self::served) answered at the heuristic
-    /// tier (tiered planners; `0` everywhere else).
-    pub heuristic: u64,
-    /// Background refinements that landed, upgrading a heuristic cache
-    /// entry to its exact plan (tiered planners).
-    pub refined: u64,
-    /// Largest relative optimality gap observed among refined heuristic
-    /// plans: `(heuristic cost − exact cost) / exact cost`.
-    pub max_refined_gap: f64,
-}
-
-impl PlannerStats {
-    /// Fraction of served requests answered by a cache hit; `0.0`
-    /// before any request.
-    pub fn hit_rate(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.served as f64
-        }
-    }
-
-    fn record(&mut self, served: &ServedPlan) {
-        self.served += 1;
-        match served.source {
-            ServeSource::CacheHit => self.hits += 1,
-            ServeSource::WarmStart => self.warm_starts += 1,
-            ServeSource::Cold => self.cold += 1,
-        }
-        self.heuristic += u64::from(served.tier == PlanTier::Heuristic);
-    }
-}
-
 /// One way of turning an instance into a plan: cold optimization, the
 /// plan cache, a remote daemon, or a whole fleet of them sit behind this
-/// one trait, so every entry point shares a single dispatch path.
+/// one trait. It carries no counters: read them where they are counted
+/// ([`crate::CacheStats`], [`crate::TieredStats`], [`FleetStats`]).
 ///
 /// Implementations must be shareable across threads ([`plan_batch`]
 /// drives one planner from a worker pool) and must report failures as
@@ -149,20 +98,6 @@ pub trait Planner: Send + Sync {
     /// [`PlanError`] when no plan could be produced; local planners are
     /// infallible and never return one.
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError>;
-
-    /// A snapshot of the planner's counters.
-    fn stats(&self) -> PlannerStats;
-
-    /// Flushes or tears down whatever the planner holds open (remote
-    /// connections, nothing for local planners). Serving may continue
-    /// afterwards; connections re-open lazily.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] when a teardown step fails; the default is a no-op.
-    fn drain(&self) -> Result<(), PlanError> {
-        Ok(())
-    }
 }
 
 impl<P: Planner + ?Sized> Planner for &P {
@@ -173,14 +108,6 @@ impl<P: Planner + ?Sized> Planner for &P {
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
         (**self).plan(instance)
     }
-
-    fn stats(&self) -> PlannerStats {
-        (**self).stats()
-    }
-
-    fn drain(&self) -> Result<(), PlanError> {
-        (**self).drain()
-    }
 }
 
 /// A [`Planner`] that optimizes every request from scratch — the
@@ -189,14 +116,13 @@ impl<P: Planner + ?Sized> Planner for &P {
 #[derive(Debug)]
 pub struct ColdPlanner {
     config: BnbConfig,
-    served: AtomicU64,
 }
 
 impl ColdPlanner {
     /// A cold planner with the given optimizer configuration; it reports
     /// fingerprints under the default quantization.
     pub fn new(config: BnbConfig) -> Self {
-        ColdPlanner { config, served: AtomicU64::new(0) }
+        ColdPlanner { config }
     }
 }
 
@@ -207,21 +133,14 @@ impl Planner for ColdPlanner {
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
         let result = optimize_with(instance, &self.config);
-        self.served.fetch_add(1, Ordering::Relaxed);
         Ok(ServedPlan {
             plan: result.plan().clone(),
             cost: result.cost(),
             source: ServeSource::Cold,
             fingerprint: CanonicalKey::new(instance, &Quantization::default()).fingerprint(),
             tier: PlanTier::Exact,
-            optimality_gap: Some(0.0),
             search: Some(result.stats().clone()),
         })
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let served = self.served.load(Ordering::Relaxed);
-        PlannerStats { served, cold: served, ..PlannerStats::default() }
     }
 }
 
@@ -232,8 +151,8 @@ impl Planner for ColdPlanner {
 /// route through.
 ///
 /// The planner borrows the cache, so several planners (one per worker
-/// thread, say) can front the same cache; counters live in the cache and
-/// are therefore shared too.
+/// thread, say) can front the same cache; its counters are the cache's
+/// own ([`PlanCache::stats`]).
 #[derive(Debug)]
 pub struct CachedPlanner<'a> {
     cache: &'a PlanCache,
@@ -246,11 +165,6 @@ impl<'a> CachedPlanner<'a> {
     pub fn new(cache: &'a PlanCache, config: BnbConfig) -> Self {
         CachedPlanner { cache, config }
     }
-
-    /// The cache this planner serves through.
-    pub fn cache(&self) -> &'a PlanCache {
-        self.cache
-    }
 }
 
 impl Planner for CachedPlanner<'_> {
@@ -260,17 +174,6 @@ impl Planner for CachedPlanner<'_> {
 
     fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
         Ok(self.cache.serve(instance, &self.config))
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let cache = self.cache.stats();
-        PlannerStats {
-            served: cache.requests(),
-            hits: cache.hits,
-            warm_starts: cache.warm_starts,
-            cold: cache.misses,
-            ..PlannerStats::default()
-        }
     }
 }
 
@@ -288,12 +191,6 @@ pub struct FleetStats {
     pub fallbacks: u64,
     /// Requests that failed everywhere (returned a [`PlanError`]).
     pub errors: u64,
-}
-
-#[derive(Debug, Default)]
-struct FleetCounters {
-    planner: PlannerStats,
-    fleet: FleetStats,
 }
 
 /// A [`Planner`] that shards requests across N backends by canonical
@@ -322,9 +219,8 @@ pub struct FleetPlanner<'a> {
     fallback: Option<Box<dyn Planner + 'a>>,
     quantization: Quantization,
     ring: HashRing,
-    labels: Vec<String>,
     breakers: Vec<CircuitBreaker>,
-    counters: Mutex<FleetCounters>,
+    stats: Mutex<FleetStats>,
 }
 
 impl fmt::Debug for FleetPlanner<'_> {
@@ -359,15 +255,11 @@ impl<'a> FleetPlanner<'a> {
             backends.iter().map(|_| CircuitBreaker::new(BreakerConfig::default())).collect();
         Ok(FleetPlanner {
             ring: HashRing::new(&labels),
-            labels,
             breakers,
             backends,
             fallback: None,
             quantization,
-            counters: Mutex::new(FleetCounters {
-                fleet: FleetStats { per_backend, ..FleetStats::default() },
-                ..FleetCounters::default()
-            }),
+            stats: Mutex::new(FleetStats { per_backend, ..FleetStats::default() }),
         })
     }
 
@@ -384,14 +276,6 @@ impl<'a> FleetPlanner<'a> {
     #[must_use]
     pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
         self.breakers = self.backends.iter().map(|_| CircuitBreaker::new(config)).collect();
-        self
-    }
-
-    /// Rebuilds the routing ring with `vnodes` virtual nodes per
-    /// backend (the default is [`crate::ring::DEFAULT_VNODES`]).
-    #[must_use]
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
-        self.ring = HashRing::with_vnodes(&self.labels, vnodes);
         self
     }
 
@@ -415,8 +299,7 @@ impl<'a> FleetPlanner<'a> {
             self.backends.len(),
             "ring labels must map one-to-one onto the fleet's backends"
         );
-        self.labels = labels.to_vec();
-        self.ring = HashRing::new(&self.labels);
+        self.ring = HashRing::new(labels);
         self
     }
 
@@ -428,19 +311,9 @@ impl<'a> FleetPlanner<'a> {
         self.ring.route(fingerprint)
     }
 
-    /// The consistent-hash ring requests are routed over.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    /// Number of backends in the fleet (the fallback not included).
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
     /// A snapshot of the routing counters.
     pub fn fleet_stats(&self) -> FleetStats {
-        lock(&self.counters).fleet.clone()
+        lock(&self.stats).clone()
     }
 
     /// Per-backend circuit-breaker counters, indexed like the
@@ -476,11 +349,9 @@ impl Planner for FleetPlanner<'_> {
             match self.backends[backend].plan(instance) {
                 Ok(served) => {
                     self.breakers[backend].record(true);
-                    let mut counters = lock(&self.counters);
-                    counters.planner.record(&served);
-                    counters.planner.failovers += u64::from(backend != home);
-                    counters.fleet.per_backend[backend] += 1;
-                    counters.fleet.failovers += u64::from(backend != home);
+                    let mut stats = lock(&self.stats);
+                    stats.per_backend[backend] += 1;
+                    stats.failovers += u64::from(backend != home);
                     return Ok(served);
                 }
                 Err(error) => {
@@ -492,42 +363,18 @@ impl Planner for FleetPlanner<'_> {
         if let Some(fallback) = &self.fallback {
             match fallback.plan(instance) {
                 Ok(served) => {
-                    let mut counters = lock(&self.counters);
-                    counters.planner.record(&served);
-                    counters.planner.fallbacks += 1;
-                    counters.fleet.fallbacks += 1;
+                    lock(&self.stats).fallbacks += 1;
                     return Ok(served);
                 }
                 Err(error) => last_error = Some(error),
             }
         }
-        {
-            let mut counters = lock(&self.counters);
-            counters.planner.errors += 1;
-            counters.fleet.errors += 1;
-        }
+        lock(&self.stats).errors += 1;
         // With every circuit open and no fallback, no backend was even
         // tried — still a typed error, never a panic.
         Err(last_error.unwrap_or_else(|| {
             PlanError::Backend("every backend is ejected by its circuit breaker".to_string())
         }))
-    }
-
-    fn stats(&self) -> PlannerStats {
-        lock(&self.counters).planner
-    }
-
-    fn drain(&self) -> Result<(), PlanError> {
-        let mut first_error = None;
-        for backend in self.backends.iter().chain(self.fallback.iter()) {
-            if let Err(error) = backend.drain() {
-                first_error.get_or_insert(error);
-            }
-        }
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
     }
 }
 
@@ -613,14 +460,14 @@ mod tests {
     use crate::cache::CacheConfig;
     use dsq_core::optimize;
     use dsq_workloads::{generate, Family};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     fn instance(seed: u64) -> QueryInstance {
         generate(Family::Clustered, 6, seed)
     }
 
     #[test]
-    fn cold_planner_matches_optimize_and_counts() {
+    fn cold_planner_matches_optimize() {
         let planner = ColdPlanner::new(BnbConfig::paper());
         for seed in 0..3 {
             let inst = instance(seed);
@@ -631,10 +478,7 @@ mod tests {
             assert_eq!(served.source, ServeSource::Cold);
             assert!(served.search.expect("cold runs a search").proven_optimal);
         }
-        let stats = planner.stats();
-        assert_eq!((stats.served, stats.cold, stats.hits), (3, 3, 0));
         assert_eq!(planner.name(), "cold");
-        assert!(planner.drain().is_ok());
     }
 
     #[test]
@@ -647,20 +491,17 @@ mod tests {
         let hit = planner.plan(&inst).expect("plans");
         assert_eq!(hit.source, ServeSource::CacheHit);
         assert_eq!(hit.plan, cold.plan);
-        let stats = planner.stats();
-        assert_eq!((stats.served, stats.hits, stats.cold), (2, 1, 1));
+        let stats = cache.stats();
+        assert_eq!((stats.requests(), stats.hits, stats.misses), (2, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        // Counters live in the cache: a second planner over the same
-        // cache sees them.
-        let other = CachedPlanner::new(&cache, BnbConfig::paper());
-        assert_eq!(other.stats(), stats);
     }
 
     /// A scripted backend for fleet tests: serves through a cold planner
-    /// unless told to fail.
+    /// unless told to fail, and counts every request that reaches it.
     struct Scripted {
         label: String,
         inner: ColdPlanner,
+        attempts: AtomicU64,
         down: AtomicBool,
         busy: AtomicBool,
     }
@@ -670,6 +511,7 @@ mod tests {
             Scripted {
                 label: label.to_string(),
                 inner: ColdPlanner::new(BnbConfig::paper()),
+                attempts: AtomicU64::new(0),
                 down: AtomicBool::new(false),
                 busy: AtomicBool::new(false),
             }
@@ -682,6 +524,7 @@ mod tests {
         }
 
         fn plan(&self, instance: &QueryInstance) -> Result<ServedPlan, PlanError> {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
             if self.down.load(Ordering::Relaxed) {
                 return Err(PlanError::Transport("scripted outage".into()));
             }
@@ -689,10 +532,6 @@ mod tests {
                 return Err(PlanError::Busy { retry_after_ms: 10 });
             }
             self.inner.plan(instance)
-        }
-
-        fn stats(&self) -> PlannerStats {
-            self.inner.stats()
         }
     }
 
@@ -736,7 +575,6 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.per_backend[home], 0);
         assert_eq!(stats.per_backend[1 - home], 1);
-        assert_eq!(fleet.stats().failovers, 1);
     }
 
     #[test]
@@ -772,7 +610,6 @@ mod tests {
         assert!(matches!(error, PlanError::Busy { .. } | PlanError::Transport(_)));
         let stats = fleet.fleet_stats();
         assert_eq!(stats.errors, 1);
-        assert_eq!(fleet.stats().errors, 1);
     }
 
     #[test]
@@ -803,14 +640,18 @@ mod tests {
         assert_eq!(fleet.breaker_stats()[flapper].trips, 1);
 
         // While ejected, homed requests go straight to the replica with
-        // no attempt on the flapper (its served count stays frozen) —
-        // each check ticking the cooldown. Check 3 of the cooldown
-        // admits a probe, which fails (still down) and re-opens.
-        let before = backends[flapper].inner.stats().served;
-        for _ in 0..3 {
+        // no attempt on the flapper — each check ticking the cooldown.
+        // Check 3 of the cooldown admits a probe, which fails (still
+        // down) and re-opens: the probe is the flapper's only attempt.
+        let before = backends[flapper].attempts.load(Ordering::Relaxed);
+        for _ in 0..2 {
             fleet.plan(&on_flapper).expect("replica serves while ejected");
         }
-        assert_eq!(backends[flapper].inner.stats().served, before, "no attempts while open");
+        let attempts = backends[flapper].attempts.load(Ordering::Relaxed);
+        assert_eq!(attempts, before, "no attempts while open");
+        fleet.plan(&on_flapper).expect("replica serves after the failed probe");
+        let attempts = backends[flapper].attempts.load(Ordering::Relaxed);
+        assert_eq!(attempts, before + 1, "the half-open probe is one attempt");
         assert_eq!(fleet.breaker_stats()[flapper].trips, 2, "failed probe re-opens");
 
         // Backend recovers; after the cooldown the next probe succeeds

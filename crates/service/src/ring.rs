@@ -126,11 +126,6 @@ impl HashRing {
         &self.labels
     }
 
-    /// Number of backends on the ring.
-    pub fn backend_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Virtual nodes per backend this ring was built with.
     pub fn vnodes(&self) -> usize {
         self.vnodes

@@ -21,9 +21,9 @@
 //! Serving semantics ([`TieredPlanner::plan`]):
 //!
 //! * **hit on an exact entry** — identical to the cached planner:
-//!   validated plan, [`PlanTier::Exact`], `optimality_gap: Some(0.0)`.
+//!   validated plan, [`PlanTier::Exact`].
 //! * **hit on a still-heuristic entry** — the plan is served as
-//!   [`PlanTier::Heuristic`] with an unknown gap, and a refinement is
+//!   [`PlanTier::Heuristic`], and a refinement is
 //!   (re-)enqueued in case the original job was dropped by the bounded
 //!   queue.
 //! * **miss** — the greedy plan is returned immediately at
@@ -34,14 +34,14 @@
 //!   cached planner: a stale entry proves the key is hot, so the warm
 //!   start doubles as its refinement.
 //!
-//! [`Planner::drain`] blocks until the refinement queue is empty, which
-//! makes convergence deterministic for tests, snapshots, and batch runs:
-//! after `drain`, every resident entry that was served this session is
-//! exact, and [`PlanCache::snapshot`] (which skips heuristic-tier
-//! entries) persists the full working set.
+//! [`TieredPlanner::drain`] blocks until the refinement queue is empty,
+//! which makes convergence deterministic for tests, snapshots, and batch
+//! runs: after `drain`, every resident entry that was served this
+//! session is exact, and [`PlanCache::snapshot`] (which skips
+//! heuristic-tier entries) persists the full working set.
 
 use crate::cache::{PendingServe, PlanCache, PlanTier, Probe, ServedPlan};
-use crate::planner::{PlanError, Planner, PlannerStats};
+use crate::planner::{PlanError, Planner};
 use dsq_baselines::fast_greedy;
 use dsq_core::{optimize_with, BnbConfig, Plan, QueryInstance};
 use std::collections::{HashSet, VecDeque};
@@ -141,7 +141,7 @@ struct RefineShared {
     /// Signaled when a job is enqueued or shutdown begins.
     work: Condvar,
     /// Signaled when the pool goes idle (queue empty, nothing in
-    /// flight) — what [`Planner::drain`] waits on.
+    /// flight) — what [`TieredPlanner::drain`] waits on.
     idle: Condvar,
 }
 
@@ -184,6 +184,16 @@ impl TieredPlanner {
             })
             .collect();
         TieredPlanner { shared, workers }
+    }
+
+    /// Blocks until every queued refinement has landed (queue empty and
+    /// no job in flight). After `drain`, the cache holds exact plans for
+    /// every key served this session that was not evicted or dropped.
+    pub fn drain(&self) {
+        let mut state = self.shared.state.lock().expect("refine state lock");
+        while !state.shutdown && (!state.jobs.is_empty() || state.in_flight > 0) {
+            state = self.shared.idle.wait(state).expect("refine state lock");
+        }
     }
 
     /// The cache this planner serves through and refines into.
@@ -245,32 +255,6 @@ impl Planner for TieredPlanner {
             Probe::Hit(served) => served,
             Probe::Pending(pending) => self.resume(instance, pending),
         })
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let cache = self.shared.cache.stats();
-        let tiered = self.tiered_stats();
-        PlannerStats {
-            served: cache.requests(),
-            hits: cache.hits,
-            warm_starts: cache.warm_starts,
-            cold: cache.misses,
-            heuristic: tiered.heuristic_served,
-            refined: tiered.refined,
-            max_refined_gap: tiered.max_gap,
-            ..PlannerStats::default()
-        }
-    }
-
-    /// Blocks until every queued refinement has landed (queue empty and
-    /// no job in flight). After `drain`, the cache holds exact plans for
-    /// every key served this session that was not evicted or dropped.
-    fn drain(&self) -> Result<(), PlanError> {
-        let mut state = self.shared.state.lock().expect("refine state lock");
-        while !state.shutdown && (!state.jobs.is_empty() || state.in_flight > 0) {
-            state = self.shared.idle.wait(state).expect("refine state lock");
-        }
-        Ok(())
     }
 }
 
@@ -361,13 +345,11 @@ mod tests {
         let first = planner.plan(&inst).expect("tiered planners are infallible");
         assert_eq!(first.source, ServeSource::Cold);
         assert_eq!(first.tier, PlanTier::Heuristic);
-        assert_eq!(first.optimality_gap, None);
 
-        planner.drain().expect("drain is infallible");
+        planner.drain();
         let second = planner.plan(&inst).expect("plans");
         assert_eq!(second.source, ServeSource::CacheHit, "refined entry hits");
         assert_eq!(second.tier, PlanTier::Exact, "refinement upgraded the entry in place");
-        assert_eq!(second.optimality_gap, Some(0.0));
         let fresh = optimize(&inst);
         assert_eq!(second.cost.to_bits(), fresh.cost().to_bits());
         assert_eq!(&second.plan, fresh.plan());
@@ -376,9 +358,8 @@ mod tests {
         assert_eq!(tiered.refined, 1);
         assert_eq!(tiered.heuristic_served, 1);
         assert!(tiered.max_gap >= 0.0);
-        let stats = planner.stats();
-        assert_eq!((stats.served, stats.hits, stats.cold), (2, 1, 1));
-        assert_eq!((stats.heuristic, stats.refined), (1, 1));
+        let stats = planner.cache().stats();
+        assert_eq!((stats.requests(), stats.hits, stats.misses), (2, 1, 1));
         assert_eq!(planner.cache().stats().heuristic_entries, 0, "nothing left to refine");
     }
 
@@ -390,7 +371,7 @@ mod tests {
             let served = planner.plan(inst).expect("plans");
             assert_eq!(served.tier, PlanTier::Heuristic);
         }
-        planner.drain().expect("drain is infallible");
+        planner.drain();
         assert_eq!(planner.tiered_stats().refined, 8);
         for inst in &instances {
             let served = planner.plan(inst).expect("plans");
@@ -415,7 +396,7 @@ mod tests {
             let served = planner.plan(&inst).expect("plans");
             assert_eq!(served.tier, PlanTier::Heuristic, "dropped refinement leaves tier 1");
         }
-        planner.drain().expect("drain is infallible");
+        planner.drain();
         let tiered = planner.tiered_stats();
         assert_eq!(tiered.refined, 0);
         assert_eq!(tiered.refine_dropped, 4);
@@ -448,7 +429,7 @@ mod tests {
         let served = planner.resume(&inst, pending);
         assert_eq!((served.source, served.tier), (ServeSource::CacheHit, PlanTier::Heuristic));
         assert_eq!(cache.stats().hits, 1, "the resume counts the hit once");
-        planner.drain().expect("drain is infallible");
+        planner.drain();
         let tiered = planner.tiered_stats();
         assert_eq!((tiered.heuristic_served, tiered.refined, tiered.refine_dropped), (1, 1, 0));
 
@@ -477,7 +458,7 @@ mod tests {
         for inst in &instances {
             stalled.plan(inst).expect("plans");
         }
-        stalled.drain().expect("drain is infallible");
+        stalled.drain();
         assert_eq!(unrefined.stats().entries, 3, "heuristic entries are resident");
         assert_eq!(unrefined.snapshot().entries.len(), 0, "but never persisted");
 
@@ -486,7 +467,7 @@ mod tests {
         for inst in &instances {
             planner.plan(inst).expect("plans");
         }
-        planner.drain().expect("drain is infallible");
+        planner.drain();
         // Everything refined: the snapshot persists the working set and
         // restores to exact-tier hits.
         let snapshot = cache.snapshot();

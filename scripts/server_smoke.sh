@@ -16,6 +16,8 @@ if ! [ -x "$bin" ]; then
     echo "server_smoke: $bin not built (run cargo build --release first)" >&2
     exit 1
 fi
+# Absolute, so legs that run from inside the workdir can still call it.
+bin="$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")"
 
 workdir="$(mktemp -d)"
 sock="$workdir/dsq.sock"
@@ -108,9 +110,13 @@ grep -q "drained cleanly" "$server_log"
 # Two daemons (1 worker each: single-core container), requests sharded
 # across them by fingerprint via `client --fleet`, repeats hitting the
 # backend caches, then one backend killed and the same stream completing
-# via failover.
-sock_a="$workdir/fleet-a.sock"
-sock_b="$workdir/fleet-b.sock"
+# via failover. The fleet legs run from inside the workdir with
+# relative socket paths: a backend's ring label embeds its address, so
+# paths that do not change from run to run keep the keyspace split
+# (which backend owns which query) the same in every run.
+pushd "$workdir" > /dev/null
+sock_a="fleet-a.sock"
+sock_b="fleet-b.sock"
 
 "$bin" serve --unix "$sock_a" --workers 1 < /dev/null > "$workdir/fleet-a.log" &
 fleet_a_pid=$!
@@ -124,8 +130,7 @@ for _ in $(seq 1 300); do
 done
 [ -S "$sock_a" ] && [ -S "$sock_b" ] || { echo "server_smoke: fleet sockets never appeared" >&2; exit 1; }
 
-# A handful of distinct queries so both backends see traffic
-# (fingerprint routing is deterministic in the generator seeds).
+# A handful of distinct queries so both backends see traffic.
 fleet_files=()
 for seed in 21 22 23 24 25 26; do
     "$bin" generate --family clustered -n 7 --seed "$seed" > "$workdir/fq$seed.dsq"
@@ -159,7 +164,7 @@ grep -q "0 local fallbacks" "$workdir/failover.out"
 # Grow the surviving backend into a 2-backend fleet with the rebalance
 # verb: whatever slice of the keyspace the new daemon owns moves over
 # warm, and the grown fleet answers the whole stream from cache.
-sock_c="$workdir/fleet-c.sock"
+sock_c="fleet-c.sock"
 "$bin" serve --unix "$sock_c" --workers 1 < /dev/null > "$workdir/fleet-c.log" &
 fleet_c_pid=$!
 daemon_pids+=("$fleet_c_pid")
@@ -181,6 +186,7 @@ grep -q "0 failovers, 0 local fallbacks" "$workdir/grown.out"
 wait "$fleet_a_pid"
 "$bin" client --unix "$sock_c" shutdown | grep -qx "server draining"
 wait "$fleet_c_pid"
+popd > /dev/null
 
 # ---- chaos smoke ------------------------------------------------------
 # A daemon injecting deterministic drop/delay/truncate faults into its
