@@ -120,8 +120,9 @@ hold N parks N concurrent idle connections on the server's reactor and
 prints a held/dropped accounting line on drain; client metrics dumps the
 server's telemetry, every serving counter included, in the
 `# dsq-metrics v1` exposition format; --tiered
-answers cache misses immediately with a greedy plan (`tier heur` on output)
-and refines them to exact in the background, upgrading the cache in place";
+answers a key's first miss immediately with a greedy plan (`tier heur` on
+output) and refines it to exact in the background; every later request for
+the key waits for that refinement and gets the exact plan";
 
 fn io_err(e: std::io::Error) -> CliError {
     format!("I/O error: {e}")

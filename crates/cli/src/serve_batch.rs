@@ -56,10 +56,11 @@ pub(crate) fn serve_batch_cmd<'a>(
             .map_err(|e| format!("cannot restore snapshot {snapshot_path}: {e}"))?;
         writeln!(out, "restored {restored} cached plans from {snapshot_path}").map_err(io_err)?;
     }
-    // Tiered mode answers every miss with the greedy heuristic (those
-    // lines carry `tier heur`) and refines in the background; the drain
-    // below makes the refinements land before stats or snapshot-out, so
-    // the written snapshot only ever holds exact plans.
+    // Tiered mode answers each key's first miss with the greedy
+    // heuristic (those lines carry `tier heur`) and refines it in the
+    // background; later requests for the key wait for the exact plan.
+    // The drain below makes the refinements land before stats or
+    // snapshot-out, so the written snapshot only ever holds exact plans.
     let tiered_planner = tiered.then(|| TieredPlanner::new(Arc::clone(&cache), config.clone()));
     let planner = CachedPlanner::new(&cache, config);
     let started = Instant::now();
@@ -102,11 +103,9 @@ pub(crate) fn serve_batch_cmd<'a>(
         let t = tiered.tiered_stats();
         writeln!(
             out,
-            "tiered: {} tier-1 answers, {} refined ({} skipped, {} dropped), max gap {:.2}%",
+            "tiered: {} tier-1 answers, {} refined, max gap {:.2}%",
             t.heuristic_served,
             t.refined,
-            t.refine_skipped,
-            t.refine_dropped,
             t.max_gap * 100.0,
         )
         .map_err(io_err)?;

@@ -293,6 +293,83 @@ fn serve_batch_tiered_answers_heur_then_refines_before_the_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `serve-batch --tiered` over three copies of each of three keys: a
+/// key's first request is its tier-1 answer, and every later copy
+/// waits for the key's refinement and hits the exact plan — the same
+/// lines on every run. With two workers, which copy of a key leads is
+/// the only thing left to the scheduler, as in plain `serve-batch`.
+#[test]
+fn serve_batch_tiered_repeats_always_hit_the_exact_plan() {
+    let dir = std::env::temp_dir().join(format!("dsq-tiered-dups-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create batch dir");
+    let mut keys = Vec::new();
+    for seed in [97u64, 98, 99] {
+        let text =
+            run_ok(&["generate", "--family", "btsp-hard", "-n", "11", "--seed", &seed.to_string()]);
+        let names: Vec<String> = (1..=3).map(|copy| format!("s{seed}-{copy}.dsq")).collect();
+        for name in &names {
+            std::fs::write(dir.join(name), &text).expect("write instance");
+        }
+        keys.push((names, parse_instance(&text).expect("generated text parses")));
+    }
+    // The rendering of each key's tier-1 answer and of its exact hit.
+    let line = |name: &str, source, cost, plan: &Plan, tier| {
+        let mut out = Vec::new();
+        write_served_line(&mut out, name, source, cost, plan, tier).expect("renders");
+        String::from_utf8(out).expect("utf8")
+    };
+    let mut max_gap = 0.0f64;
+    let expected: Vec<(Vec<String>, Vec<String>)> = keys
+        .iter()
+        .map(|(names, inst)| {
+            let greedy = dsq_baselines::fast_greedy(inst);
+            let exact = dsq_core::optimize_with(inst, &BnbConfig::paper());
+            max_gap = max_gap.max((greedy.cost() - exact.cost()) / exact.cost());
+            let leads = names
+                .iter()
+                .map(|n| {
+                    line(n, ServeSource::Cold, greedy.cost(), greedy.plan(), PlanTier::Heuristic)
+                })
+                .collect();
+            let hits = names
+                .iter()
+                .map(|n| {
+                    line(n, ServeSource::CacheHit, exact.cost(), exact.plan(), PlanTier::Exact)
+                })
+                .collect();
+            (leads, hits)
+        })
+        .collect();
+    let summary = format!(
+        "cache: 6 hits, 0 warm starts, 3 cold (66.7% hit-rate); 3 entries, 0 evictions\n\
+         tiered: 3 tier-1 answers, 3 refined, max gap {:.2}%\n",
+        max_gap * 100.0
+    );
+
+    let dir_arg = dir.to_str().expect("utf8");
+    for workers in ["1", "2"] {
+        for _ in 0..5 {
+            let out = run_ok(&["serve-batch", dir_arg, "--workers", workers, "--tiered"]);
+            let lines: Vec<String> = out.split_inclusive('\n').map(str::to_string).collect();
+            assert_eq!(lines.len(), 12, "{out}");
+            for (key, (leads, hits)) in expected.iter().enumerate() {
+                let served = &lines[3 * key..3 * key + 3];
+                let leader = served.iter().position(|l| l.contains(" tier heur")).expect(&out);
+                if workers == "1" {
+                    assert_eq!(leader, 0, "the first copy leads:\n{out}");
+                }
+                for (copy, got) in served.iter().enumerate() {
+                    let want = if copy == leader { &leads[copy] } else { &hits[copy] };
+                    assert_eq!(got, want, "--workers {workers}:\n{out}");
+                }
+            }
+            assert!(lines[9].starts_with("served 9 requests in "), "{out}");
+            assert_eq!(lines[10..].concat(), summary, "--workers {workers}:\n{out}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_batch_smoke_over_a_directory() {
     let dir = std::env::temp_dir().join(format!("dsq-serve-batch-{}", std::process::id()));

@@ -294,7 +294,7 @@ impl SearchContext {
     /// Successors of `u`, most expensive transfer first — the scan order
     /// for tight `ε̄` row maxima.
     #[inline]
-    pub fn successors_descending(&self, u: usize) -> &[u32] {
+    fn successors_descending(&self, u: usize) -> &[u32] {
         let stride = self.n - 1;
         &self.succ_desc[u * stride..(u + 1) * stride]
     }
@@ -305,7 +305,7 @@ impl SearchContext {
     /// (transfers are non-negative, so the `0.0` floor is absorbed by the
     /// caller's `max`).
     #[inline]
-    pub fn max_transfer_to<S: ServiceSet>(&self, u: usize, placed: &S) -> f64 {
+    fn max_transfer_to<S: ServiceSet>(&self, u: usize, placed: &S) -> f64 {
         for &l in self.successors_descending(u) {
             if !placed.contains(l as usize) {
                 return self.transfer[u * self.n + l as usize];
@@ -491,7 +491,7 @@ impl<S: ServiceSet> IncrementalBounds<S> {
 
     /// Number of placed services.
     #[inline]
-    pub fn placed_len(&self) -> usize {
+    fn placed_len(&self) -> usize {
         self.inflation.len() - 1
     }
 

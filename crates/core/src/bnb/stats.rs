@@ -53,7 +53,7 @@ impl SearchStats {
     /// `elapsed` wall-clock time (`0.0` when no time was recorded). The
     /// headline measure of the per-node bound-evaluation cost, printed in
     /// the stats report.
-    pub fn nodes_per_sec(&self) -> f64 {
+    fn nodes_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
             self.nodes_visited as f64 / secs

@@ -40,7 +40,7 @@ impl Fnv1a {
     }
 
     /// Absorbs raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100000001b3);

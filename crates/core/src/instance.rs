@@ -156,12 +156,6 @@ impl QueryInstance {
         self.precedence.as_ref().is_some_and(|p| !p.is_empty())
     }
 
-    /// Product of all selectivities (the mean output tuples per input tuple
-    /// of the whole pipeline, independent of ordering).
-    pub fn selectivity_product(&self) -> f64 {
-        self.services.iter().map(Service::selectivity).product()
-    }
-
     /// A copy of this instance with every off-diagonal transfer cost
     /// replaced by `t` — the homogeneous-network relaxation solved exactly
     /// by Srivastava et al. (VLDB'06). Sink costs are preserved.
@@ -325,7 +319,6 @@ mod tests {
         assert_eq!(inst.sink_cost(1), 0.2);
         assert!(inst.has_proliferative());
         assert!(!inst.has_precedence());
-        assert!((inst.selectivity_product() - 0.75).abs() < 1e-12);
         assert_eq!(inst.service(ServiceId::new(0)).cost(), 1.0);
     }
 

@@ -17,7 +17,6 @@ use std::fmt;
 ///
 /// let plan = Plan::new(vec![2, 0, 1])?;
 /// assert_eq!(plan.len(), 3);
-/// assert_eq!(plan.position_of(0.into()), Some(1));
 /// assert_eq!(plan.to_string(), "WS2 → WS0 → WS1");
 /// # Ok::<(), dsq_core::ModelError>(())
 /// ```
@@ -87,11 +86,6 @@ impl Plan {
         self.order[position]
     }
 
-    /// Position of `service` in the plan, if present.
-    pub fn position_of(&self, service: ServiceId) -> Option<usize> {
-        self.order.iter().position(|&s| s == service)
-    }
-
     /// Iterates over the services in execution order.
     pub fn iter(&self) -> std::slice::Iter<'_, ServiceId> {
         self.order.iter()
@@ -139,8 +133,6 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.indices(), vec![1, 2, 0]);
         assert_eq!(p.service_at(0), ServiceId::new(1));
-        assert_eq!(p.position_of(ServiceId::new(0)), Some(2));
-        assert_eq!(p.position_of(ServiceId::new(9)), None);
     }
 
     #[test]

@@ -60,7 +60,6 @@ impl From<usize> for ServiceId {
 /// let filter = Service::new(0.2, 0.5).with_name("payment-history-filter");
 /// assert_eq!(filter.cost(), 0.2);
 /// assert_eq!(filter.selectivity(), 0.5);
-/// assert!(filter.is_selective());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Service {
@@ -111,11 +110,6 @@ impl Service {
         self.name.as_deref()
     }
 
-    /// Whether the service filters tuples (`σ ≤ 1`).
-    pub fn is_selective(&self) -> bool {
-        self.selectivity <= 1.0
-    }
-
     /// Whether the service produces more tuples than it consumes (`σ > 1`).
     pub fn is_proliferative(&self) -> bool {
         self.selectivity > 1.0
@@ -154,14 +148,12 @@ mod tests {
         assert_eq!(s.cost(), 1.5);
         assert_eq!(s.selectivity(), 0.25);
         assert_eq!(s.name(), None);
-        assert!(s.is_selective());
         assert!(!s.is_proliferative());
     }
 
     #[test]
     fn proliferative_classification() {
         assert!(Service::new(0.0, 2.5).is_proliferative());
-        assert!(Service::new(0.0, 1.0).is_selective());
         assert!(!Service::new(0.0, 1.0).is_proliferative());
     }
 
@@ -191,6 +183,6 @@ mod tests {
         // A service that filters out everything is legal (downstream terms
         // become zero under Eq. 1).
         let s = Service::new(0.1, 0.0);
-        assert!(s.is_selective());
+        assert_eq!(s.selectivity(), 0.0);
     }
 }

@@ -29,13 +29,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A generated topology: the transfer matrix plus whatever structure the
-/// generator knows about (host coordinates, cluster assignment).
+/// generator knows about (host coordinates).
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     comm: CommMatrix,
     positions: Option<Vec<(f64, f64)>>,
-    cluster_of: Option<Vec<usize>>,
 }
 
 impl Topology {
@@ -57,11 +56,6 @@ impl Topology {
     /// Host coordinates, if the family is geometric.
     pub fn positions(&self) -> Option<&[(f64, f64)]> {
         self.positions.as_deref()
-    }
-
-    /// Cluster assignment, if the family is clustered.
-    pub fn cluster_of(&self) -> Option<&[usize]> {
-        self.cluster_of.as_deref()
     }
 }
 
@@ -86,7 +80,7 @@ pub fn euclidean(n: usize, side: f64, base: f64, rate: f64, seed: u64) -> Topolo
             base + rate * ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()
         }
     });
-    Topology { name: "euclidean".into(), comm, positions: Some(positions), cluster_of: None }
+    Topology { name: "euclidean".into(), comm, positions: Some(positions) }
 }
 
 /// Hosts assigned uniformly to `clusters` data centers; `intra` cost
@@ -116,7 +110,7 @@ pub fn clustered(
             nominal * rng.gen_range(1.0 - jitter..=1.0 + jitter)
         }
     });
-    Topology { name: "clustered".into(), comm, positions: None, cluster_of: Some(cluster_of) }
+    Topology { name: "clustered".into(), comm, positions: None }
 }
 
 /// Star-of-stars: every host hangs off one of `hubs` hubs; traffic costs
@@ -139,7 +133,7 @@ pub fn hub_spoke(n: usize, hubs: usize, spoke_leg: f64, hub_leg: f64, seed: u64)
             2.0 * spoke_leg + hub_leg
         }
     });
-    Topology { name: "hub-spoke".into(), comm, positions: None, cluster_of: Some(hub_of) }
+    Topology { name: "hub-spoke".into(), comm, positions: None }
 }
 
 /// I.i.d. transfer costs in `[lo, hi]`; `symmetric` mirrors the upper
@@ -169,7 +163,7 @@ pub fn uniform_random(n: usize, lo: f64, hi: f64, symmetric: bool, seed: u64) ->
         }
     }
     let comm = CommMatrix::from_rows(rows).expect("generated rows are square and valid");
-    Topology { name: "uniform-random".into(), comm, positions: None, cluster_of: None }
+    Topology { name: "uniform-random".into(), comm, positions: None }
 }
 
 /// Last-mile decomposition: every host has an uplink cost and a downlink
@@ -189,7 +183,7 @@ pub fn last_mile(n: usize, up: (f64, f64), down: (f64, f64), seed: u64) -> Topol
     let ups: Vec<f64> = (0..n).map(|_| rng.gen_range(up.0..=up.1)).collect();
     let downs: Vec<f64> = (0..n).map(|_| rng.gen_range(down.0..=down.1)).collect();
     let comm = CommMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { ups[i] + downs[j] });
-    Topology { name: "last-mile".into(), comm, positions: None, cluster_of: None }
+    Topology { name: "last-mile".into(), comm, positions: None }
 }
 
 /// Coefficient of variation (std-dev / mean) of the off-diagonal entries —
@@ -265,23 +259,29 @@ mod tests {
         assert_ne!(a.comm(), c.comm());
     }
 
-    #[test]
-    fn clustered_separates_intra_and_inter() {
-        let topo = clustered(20, 3, 1.0, 10.0, 0.0, 1);
-        let clusters = topo.cluster_of().unwrap();
-        let c = topo.comm();
-        for i in 0..20 {
-            for j in 0..20 {
-                if i == j {
-                    continue;
-                }
-                if clusters[i] == clusters[j] {
-                    assert_eq!(c.get(i, j), 1.0);
-                } else {
-                    assert_eq!(c.get(i, j), 10.0);
-                }
+    /// Asserts that `c` is the block matrix of a partition of the hosts
+    /// into at most `groups` groups: `intra` within a group, `inter`
+    /// across. Each host's group is named by its lowest-indexed host
+    /// at cost `intra`.
+    fn assert_blocks(c: &CommMatrix, intra: f64, inter: f64, groups: usize) {
+        let n = c.len();
+        let group: Vec<usize> =
+            (0..n).map(|i| (0..i).find(|&j| c.get(i, j) == intra).unwrap_or(i)).collect();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let expected = if group[i] == group[j] { intra } else { inter };
+                assert_eq!(c.get(i, j), expected, "transfer ({i}, {j})");
             }
         }
+        let mut named = group.clone();
+        named.sort_unstable();
+        named.dedup();
+        assert!(named.len() <= groups, "{} groups, at most {groups} expected", named.len());
+    }
+
+    #[test]
+    fn clustered_separates_intra_and_inter() {
+        assert_blocks(clustered(20, 3, 1.0, 10.0, 0.0, 1).comm(), 1.0, 10.0, 3);
     }
 
     #[test]
@@ -303,17 +303,7 @@ mod tests {
 
     #[test]
     fn hub_spoke_costs_compose() {
-        let topo = hub_spoke(10, 2, 1.0, 5.0, 2);
-        let hubs = topo.cluster_of().unwrap();
-        let c = topo.comm();
-        for i in 0..10 {
-            for j in 0..10 {
-                if i != j {
-                    let expected = if hubs[i] == hubs[j] { 2.0 } else { 7.0 };
-                    assert_eq!(c.get(i, j), expected);
-                }
-            }
-        }
+        assert_blocks(hub_spoke(10, 2, 1.0, 5.0, 2).comm(), 2.0, 7.0, 2);
     }
 
     #[test]
@@ -415,10 +405,9 @@ mod tests {
     fn topology_accessors_expose_structure() {
         let topo = euclidean(5, 10.0, 0.1, 1.0, 2);
         assert_eq!(topo.name(), "euclidean");
-        assert!(topo.cluster_of().is_none());
         assert_eq!(topo.positions().unwrap().len(), 5);
         let clustered = clustered(5, 2, 1.0, 2.0, 0.0, 2);
         assert!(clustered.positions().is_none());
-        assert!(clustered.cluster_of().unwrap().iter().all(|&c| c < 2));
+        assert_blocks(clustered.comm(), 1.0, 2.0, 2);
     }
 }

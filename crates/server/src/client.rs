@@ -229,9 +229,9 @@ impl Client {
     /// [`optimize_text`](Self::optimize_text), retrying `busy`
     /// responses under `policy` (sleeping the policy's capped
     /// exponential backoff, seeded from each `retry-after-ms` hint).
-    /// Returns the final response — `Served`, or the last `Busy` when
-    /// the attempt budget ran out — together with the number of busy
-    /// replies absorbed.
+    /// Returns the final response: `Served`, or the last `Busy` when
+    /// the attempt budget ran out. The daemon counts the rejections
+    /// (`ServerStats::busy_rejections`).
     ///
     /// # Errors
     ///
@@ -242,7 +242,7 @@ impl Client {
         &mut self,
         instance_text: &str,
         policy: &RetryPolicy,
-    ) -> io::Result<(Response, u32)> {
+    ) -> io::Result<Response> {
         let mut busy_replies = 0u32;
         loop {
             let response = self.optimize_text(instance_text)?;
@@ -253,7 +253,7 @@ impl Client {
                     std::thread::sleep(policy.backoff(retry_after_ms, busy_replies));
                     busy_replies += 1;
                 }
-                other => return Ok((other, busy_replies)),
+                other => return Ok(other),
             }
         }
     }

@@ -18,10 +18,10 @@
 //! Validated exact-tier cache hits are answered on this thread, at
 //! admission: parse → canonical key → probe + validate → render into
 //! the request's slot, with no thread hop, futex wake or waker-pipe
-//! write. Misses, stale entries and hits on heuristic-tier entries go
-//! to the worker pool carrying what the probe computed (the keys and
-//! what it found), so the worker resumes the serve instead of starting
-//! over.
+//! write. Misses, stale entries and heuristic-tier entries (which may
+//! have to wait for their key's refinement) go to the worker pool
+//! carrying what the probe computed (the keys and what it found), so
+//! the worker resumes the serve instead of starting over.
 //!
 //! Because admission happens inline on the reactor (not per-connection
 //! threads racing a shared counter), the `outstanding` gauge is

@@ -85,7 +85,7 @@ impl Planner for RemotePlanner {
         };
         // On an error the connection is dropped: after a transport error
         // or a line that does not parse, the stream position is unknown.
-        let (response, _busy_replies) =
+        let response =
             client.optimize_text_with_retry(&text, &self.policy).map_err(|e| io_plan_error(&e))?;
         match response {
             Response::Served { source, cost, fingerprint, plan, tier } => {

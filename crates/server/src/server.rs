@@ -67,10 +67,11 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Period of the background snapshot writer.
     pub snapshot_interval: Duration,
-    /// Two-tier anytime serving: cache misses are answered immediately
-    /// with a greedy heuristic plan (tier 1, `tier heur` on the wire)
-    /// while a background pool refines them to exact and upgrades the
-    /// cache entry in place — later hits on the same key serve the
+    /// Two-tier anytime serving: a key's first miss is answered
+    /// immediately with a greedy heuristic plan (tier 1, `tier heur` on
+    /// the wire) while a background pool refines it to exact and writes
+    /// it back. Every later request for the key waits for that
+    /// refinement if it is still running, and is answered with the
     /// proven-optimal plan. Off by default: the classic path answers
     /// every miss with the exact search.
     pub tiered: bool,
@@ -202,8 +203,6 @@ impl ServerStats {
             table.extend([
                 ("tiered", "heuristic-served", tiered.heuristic_served),
                 ("tiered", "refined", tiered.refined),
-                ("tiered", "refine-skipped", tiered.refine_skipped),
-                ("tiered", "refine-dropped", tiered.refine_dropped),
                 ("tiered", "refine-nodes", tiered.refine_nodes),
                 ("tiered", "max-gap-bp", (tiered.max_gap * 10_000.0).round() as u64),
             ]);
@@ -730,10 +729,7 @@ mod tests {
         let tiered = ServerStats { tiered: Some(TieredStats::default()), ..stats };
         let text = tiered.to_string();
         assert!(
-            text.ends_with(
-                "tiered: heuristic-served 0 refined 0 refine-skipped 0 refine-dropped 0 \
-                 refine-nodes 0 max-gap-bp 0"
-            ),
+            text.ends_with("tiered: heuristic-served 0 refined 0 refine-nodes 0 max-gap-bp 0"),
             "{text}"
         );
         assert!(!stats.to_string().contains("tiered:"));

@@ -15,7 +15,7 @@ use dsq_server::{
     Client, ExportRequest, FaultProfile, ListenAddr, PipelineRequest, Response, Server,
     ServerConfig,
 };
-use dsq_service::{PlanCache, ServeSource};
+use dsq_service::{PlanCache, PlanTier, ServeSource};
 use dsq_workloads::{generate, Family};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -470,4 +470,39 @@ fn import_cap_applies_before_every_line_including_the_trailer() {
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 2);
+}
+
+/// A `--tiered` daemon answers a key's first miss at tier 1, and every
+/// duplicate pipelined behind it waits for the key's refinement (on the
+/// worker, or as a reactor hit once it landed) and gets the exact plan.
+/// With one worker, every reply's source and tier is fixed.
+#[test]
+fn tiered_duplicates_behind_a_tier1_miss_get_the_exact_plan() {
+    let config = ServerConfig { tiered: true, ..ServerConfig::default() };
+    let server = Server::start(&tcp(), &config).expect("start");
+    let a = generate(Family::BtspHard, 11, 97);
+    let b = generate(Family::BtspHard, 11, 98);
+    let batch = [&a, &a, &b, &a, &b, &a].map(Clone::clone);
+
+    let mut client = Client::connect(server.listen_addr()).expect("connect");
+    let replies = client.optimize_pipelined(&batch).expect("pipeline");
+    let tier1 = [true, false, true, false, false, false];
+    for (i, (instance, reply)) in batch.iter().zip(&replies).enumerate() {
+        let Response::Served { source, cost, plan, tier, .. } = reply else {
+            panic!("request {i}: expected served, got {reply:?}");
+        };
+        if tier1[i] {
+            assert_eq!((*source, *tier), (ServeSource::Cold, PlanTier::Heuristic), "request {i}");
+        } else {
+            let exact = dsq_core::optimize_with(instance, &BnbConfig::paper());
+            assert_eq!((*source, *tier), (ServeSource::CacheHit, PlanTier::Exact), "request {i}");
+            assert_eq!(cost.to_bits(), exact.cost().to_bits(), "request {i}");
+            assert_eq!(*plan, exact.plan().indices(), "request {i}");
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.cache.hits, stats.cache.misses, stats.cache.warm_starts), (4, 2, 0));
+    assert_eq!(stats.cache.heuristic_entries, 0, "the shutdown drain refined both keys");
+    let tiered = stats.tiered.expect("a tiered daemon reports its tier counters");
+    assert_eq!((tiered.heuristic_served, tiered.refined), (2, 2));
 }

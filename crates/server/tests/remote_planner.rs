@@ -233,7 +233,7 @@ fn retry_helper_rides_out_a_one_slot_server() {
     let instances: Vec<_> =
         (0..burst).map(|seed| generate(Family::BtspHard, 13, 80 + seed as u64)).collect();
     let barrier = Barrier::new(burst);
-    let outcomes: Vec<(Response, u32)> = std::thread::scope(|scope| {
+    let outcomes: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = instances
             .iter()
             .map(|instance| {
@@ -252,20 +252,20 @@ fn retry_helper_rides_out_a_one_slot_server() {
         handles.into_iter().map(|h| h.join().expect("burst thread")).collect()
     });
 
-    let mut retried = 0u64;
-    for (instance, (response, busy_replies)) in instances.iter().zip(&outcomes) {
+    for (instance, response) in instances.iter().zip(&outcomes) {
         match response {
             Response::Served { cost, .. } => {
                 assert_eq!(cost.to_bits(), optimize(instance).cost().to_bits(), "exact");
             }
             other => panic!("every request must eventually be served, got {other:?}"),
         }
-        retried += u64::from(*busy_replies);
     }
     let stats = server.shutdown();
     assert_eq!(stats.cache.requests(), burst as u64, "all {burst} requests were served");
-    assert_eq!(stats.busy_rejections, retried, "every rejection was absorbed by a retry");
-    assert!(retried >= 1, "a {burst}-wide burst into one slot must overflow at least once");
+    assert!(
+        stats.busy_rejections >= 1,
+        "a {burst}-wide burst into one slot must overflow at least once"
+    );
 }
 
 /// Load-aware hints over the wire: a rejected request's hint is never

@@ -1,6 +1,7 @@
 //! The sharded, concurrent plan cache.
 
 use crate::lock;
+use dsq_baselines::fast_greedy;
 use dsq_core::{
     bottleneck_cost, format_instance, optimize_with, parse_instance, BnbConfig, CanonicalKey, Plan,
     PlanSnapshot, Quantization, QueryInstance, SearchStats, SnapshotEntry, SnapshotError,
@@ -308,29 +309,69 @@ impl Flight {
 
 /// The leader's hold on a [`Flight`]: dropping it (after the write-back,
 /// or while unwinding from a panicking search) unregisters the flight and
-/// wakes its followers.
-struct FlightLead<'a> {
-    shard: &'a Mutex<Shard>,
+/// wakes its followers. It owns its handle on the shards, so a tiered
+/// miss can hand it to a background [`Refinement`].
+#[derive(Debug)]
+struct FlightLead {
+    shards: Arc<[Mutex<Shard>]>,
     fingerprint: u64,
     flight: Arc<Flight>,
 }
 
-impl Drop for FlightLead<'_> {
+impl Drop for FlightLead {
     fn drop(&mut self) {
-        lock(self.shard).flights.remove(&self.fingerprint);
+        lock(shard_of(&self.shards, self.fingerprint)).flights.remove(&self.fingerprint);
         *lock(&self.flight.done) = true;
         self.flight.finished.notify_all();
+    }
+}
+
+/// A tiered miss's exact search, handed off by the request that
+/// answered it at tier 1. It holds the key's flight: until
+/// [`run`](Self::run) writes the exact plan back (or the refinement is
+/// dropped unrun), every request for the key waits for it instead of
+/// serving the heuristic entry.
+#[derive(Debug)]
+pub(crate) struct Refinement {
+    lead: FlightLead,
+    instance: QueryInstance,
+    key: CanonicalKey,
+    shifted: Option<CanonicalKey>,
+    incumbent: Plan,
+    /// The tier-1 plan's bottleneck cost on the request instance.
+    pub(crate) heuristic_cost: f64,
+}
+
+impl Refinement {
+    /// Runs the exact search warm-started from the tier-1 plan, writes
+    /// the result back at the exact tier into `cache` (the cache that
+    /// handed this refinement out), and then releases the key's flight.
+    /// Returns the exact answer to the miss.
+    pub(crate) fn run(self, cache: &PlanCache, config: &BnbConfig) -> ServedPlan {
+        let Refinement { lead, instance, key, shifted, incumbent, .. } = self;
+        let result = optimize_with(&instance, &config.clone().with_initial_incumbent(incumbent));
+        cache.write_back(&instance, &key, shifted, result.plan(), result.cost(), true);
+        drop(lead);
+        ServedPlan {
+            plan: result.plan().clone(),
+            cost: result.cost(),
+            source: ServeSource::Cold,
+            fingerprint: key.fingerprint(),
+            tier: PlanTier::Exact,
+            search: Some(result.stats().clone()),
+        }
     }
 }
 
 /// What one probe-and-validate pass found for a request.
 #[derive(Debug)]
 enum Lookup {
-    /// A validated hit, not counted yet: [`PlanCache::take_hit`] counts
-    /// it and bumps the recency of the entry under `answered`.
+    /// A validated hit on an exact-tier entry, not counted yet:
+    /// [`PlanCache::take_hit`] counts it and bumps the recency of the
+    /// entry under `answered`.
     Hit { served: ServedPlan, answered: u64, via_probe2: bool },
-    /// A fingerprint hit whose plan failed validation: the plan seeds a
-    /// warm-started search.
+    /// A fingerprint hit whose plan failed validation, or a
+    /// heuristic-tier entry: the plan seeds a warm-started search.
     Stale(Plan),
     /// No usable entry: a cold search (or the tier-1 heuristic).
     Miss,
@@ -341,8 +382,9 @@ enum Lookup {
 pub enum Probe {
     /// A validated exact-tier hit, already counted: the whole answer.
     Hit(ServedPlan),
-    /// Everything else — a miss, a stale entry, or a hit on a
-    /// heuristic-tier entry. Finish it with [`PlanCache::resume`] (or
+    /// Everything else — a miss, a stale entry, or a heuristic-tier
+    /// entry (treated as stale: it may wait for its key's refinement).
+    /// Finish it with [`PlanCache::resume`] (or
     /// [`TieredPlanner::resume`](crate::TieredPlanner::resume)) on the
     /// same cache and the same instance.
     Pending(PendingServe),
@@ -417,8 +459,12 @@ impl From<SnapshotError> for RestoreError {
 /// [`CacheConfig`] for the knobs.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Arc<[Mutex<Shard>]>,
     config: CacheConfig,
+}
+
+fn shard_of(shards: &[Mutex<Shard>], fingerprint: u64) -> &Mutex<Shard> {
+    &shards[(fingerprint % shards.len() as u64) as usize]
 }
 
 impl PlanCache {
@@ -447,7 +493,7 @@ impl PlanCache {
     }
 
     fn shard(&self, fingerprint: u64) -> &Mutex<Shard> {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
+        shard_of(&self.shards, fingerprint)
     }
 
     /// `instance`'s key on the primary grid (`phase` 0) or the shifted
@@ -505,32 +551,6 @@ impl PlanCache {
         }
     }
 
-    /// `true` when the entry under `fingerprint` is resident and still
-    /// at the heuristic tier — the gate a background refinement worker
-    /// checks before spending an exact search on a job whose entry was
-    /// meanwhile evicted or upgraded by a warm start.
-    pub(crate) fn needs_refinement(&self, fingerprint: u64) -> bool {
-        lock(self.shard(fingerprint)).map.get(&fingerprint).is_some_and(|entry| !entry.exact)
-    }
-
-    /// Upgrades the entry for `instance` in place to an exact-tier plan
-    /// (refinement landing). Returns `false` without writing when the
-    /// entry is gone or already exact — an eviction or a concurrent warm
-    /// start may have superseded the job, and the newer exact plan (for
-    /// the drifted instance the warm start saw) must win.
-    pub(crate) fn upgrade(&self, instance: &QueryInstance, plan: &Plan, cost: f64) -> bool {
-        let key = self.key(instance, 0.0);
-        {
-            let guard = lock(self.shard(key.fingerprint()));
-            match guard.map.get(&key.fingerprint()) {
-                Some(entry) if !entry.exact => {}
-                _ => return false,
-            }
-        }
-        self.write_back(instance, &key, None, plan, cost, true);
-        true
-    }
-
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -561,7 +581,7 @@ impl PlanCache {
         let key = self.key(instance, 0.0);
         let mut shifted = None;
         match self.lookup(instance, &key, &mut shifted) {
-            Lookup::Hit { served, answered, via_probe2 } if served.tier == PlanTier::Exact => {
+            Lookup::Hit { served, answered, via_probe2 } => {
                 Probe::Hit(self.take_hit(served, answered, via_probe2))
             }
             found => Probe::Pending(PendingServe { key, shifted, found }),
@@ -569,33 +589,33 @@ impl PlanCache {
     }
 
     /// Finishes a serve [`probe`](Self::probe) left pending, from what
-    /// the probe found: counts a heuristic-tier hit, or runs the exact
-    /// search (warm from a stale entry, cold on a miss) and writes it
-    /// back. `instance` must be the one that was probed.
+    /// the probe found: runs the exact search (warm from a stale or
+    /// heuristic-tier entry, cold on a miss) and writes it back, or
+    /// waits for the key's search already in flight and hits.
+    /// `instance` must be the one that was probed.
     pub fn resume(
         &self,
         instance: &QueryInstance,
         pending: PendingServe,
         config: &BnbConfig,
     ) -> ServedPlan {
-        self.serve_inner(instance, pending, config, None::<fn(&QueryInstance) -> (Plan, f64)>)
+        self.serve_inner(instance, pending, config, None::<fn(Refinement) -> Option<Refinement>>)
     }
 
     /// The tiered resume: identical to [`resume`](Self::resume) except
-    /// that a miss is answered by `heuristic` (which must return a
-    /// precedence-feasible plan and its bottleneck cost on `instance`)
-    /// instead of a cold exact search, and the entry is written back at
-    /// the heuristic tier, awaiting [`upgrade`](Self::upgrade). Hits on
-    /// a still-heuristic entry report [`PlanTier::Heuristic`] so the
-    /// caller can re-enqueue a refinement that was dropped.
-    pub(crate) fn resume_heuristic(
+    /// for a miss that leads its key's flight. That miss is answered by
+    /// the greedy heuristic, written back at the heuristic tier, and its
+    /// exact search is offered to `refine` together with the flight.
+    /// When `refine` hands the refinement back (its queue is full), the
+    /// search runs in line instead and the miss is answered exactly.
+    pub(crate) fn resume_tiered(
         &self,
         instance: &QueryInstance,
         pending: PendingServe,
         config: &BnbConfig,
-        heuristic: impl FnOnce(&QueryInstance) -> (Plan, f64),
+        refine: impl FnOnce(Refinement) -> Option<Refinement>,
     ) -> ServedPlan {
-        self.serve_inner(instance, pending, config, Some(heuristic))
+        self.serve_inner(instance, pending, config, Some(refine))
     }
 
     fn serve_inner(
@@ -603,7 +623,7 @@ impl PlanCache {
         instance: &QueryInstance,
         pending: PendingServe,
         config: &BnbConfig,
-        mut heuristic: Option<impl FnOnce(&QueryInstance) -> (Plan, f64)>,
+        refine: Option<impl FnOnce(Refinement) -> Option<Refinement>>,
     ) -> ServedPlan {
         let PendingServe { key, mut shifted, found } = pending;
         let fingerprint = key.fingerprint();
@@ -616,7 +636,7 @@ impl PlanCache {
         // and the followers hit. A new leader looks up once more, in case
         // the previous leader finished between the probe and the
         // registration. Hits never touch the flight registry.
-        let mut lead: Option<FlightLead<'_>> = None;
+        let mut lead: Option<FlightLead> = None;
         let seed = loop {
             let lookup = found.take().unwrap_or_else(|| self.lookup(instance, &key, &mut shifted));
             let seed = match lookup {
@@ -626,21 +646,6 @@ impl PlanCache {
                 Lookup::Stale(plan) => Some(plan),
                 Lookup::Miss => None,
             };
-            if seed.is_none() {
-                if let Some(heuristic) = heuristic.take() {
-                    let (plan, cost) = heuristic(instance);
-                    self.write_back(instance, &key, shifted, &plan, cost, false);
-                    lock(self.shard(fingerprint)).misses += 1;
-                    return ServedPlan {
-                        plan,
-                        cost,
-                        source: ServeSource::Cold,
-                        fingerprint,
-                        tier: PlanTier::Heuristic,
-                        search: None,
-                    };
-                }
-            }
             // A zero-capacity cache keeps nothing for followers to hit.
             if lead.is_some() || self.config.capacity_per_shard == 0 {
                 break seed;
@@ -651,11 +656,43 @@ impl PlanCache {
             }
         };
 
+        // A tiered miss answers with the greedy plan at once and hands
+        // its flight to the background refinement, which releases it
+        // only after the exact write-back: every later request for the
+        // key waits for the exact plan, however the threads are timed.
+        // (A zero-capacity cache has no lead and no entry to refine into,
+        // so its tiered misses search in line.)
+        let tier1 =
+            refine.filter(|_| seed.is_none()).and_then(|refine| Some((refine, lead.take()?)));
+        if let Some((refine, lead)) = tier1 {
+            let greedy = fast_greedy(instance);
+            let (plan, cost) = (greedy.plan().clone(), greedy.cost());
+            self.write_back(instance, &key, shifted.clone(), &plan, cost, false);
+            lock(self.shard(fingerprint)).misses += 1;
+            let refinement = Refinement {
+                lead,
+                instance: instance.clone(),
+                key,
+                shifted,
+                incumbent: plan.clone(),
+                heuristic_cost: cost,
+            };
+            return match refine(refinement) {
+                None => ServedPlan {
+                    plan,
+                    cost,
+                    source: ServeSource::Cold,
+                    fingerprint,
+                    tier: PlanTier::Heuristic,
+                    search: None,
+                },
+                Some(refinement) => refinement.run(self, config),
+            };
+        }
+
         // A stale entry re-optimizes seeded with the cached plan (its cost
-        // is near-optimal, so ρ prunes hard). This runs the exact search
-        // even under a heuristic miss policy — a stale entry already
-        // proves the key is hot, so the warm start doubles as its
-        // refinement.
+        // is near-optimal, so ρ prunes hard); so does a heuristic-tier
+        // entry whose refinement never landed.
         let (result, source) = match seed {
             Some(plan) => (
                 optimize_with(instance, &config.clone().with_initial_incumbent(plan)),
@@ -684,6 +721,8 @@ impl PlanCache {
 
     /// Probes the primary grid, then (with `probes: 2`) the shifted grid,
     /// and validates a found plan on the exact instance; counts nothing.
+    /// A heuristic-tier entry is never a hit: it comes back as
+    /// [`Lookup::Stale`] without validation, like an entry that drifted.
     /// The hot validated-hit path computes a single fingerprint; the
     /// shifted one is only derived after a primary miss, into `shifted`.
     fn lookup(
@@ -705,18 +744,20 @@ impl PlanCache {
         if !instance.precedence().is_none_or(|dag| plan.satisfies(dag)) {
             return Lookup::Miss;
         }
+        if !entry_exact {
+            return Lookup::Stale(plan);
+        }
         let exact = bottleneck_cost(instance, &plan);
         let spread = (exact - cached_cost).abs();
         if spread > self.config.validation_tolerance * exact.abs().max(cached_cost.abs()) {
             return Lookup::Stale(plan);
         }
-        let tier = if entry_exact { PlanTier::Exact } else { PlanTier::Heuristic };
         let served = ServedPlan {
             plan,
             cost: exact,
             source: ServeSource::CacheHit,
             fingerprint: key.fingerprint(),
-            tier,
+            tier: PlanTier::Exact,
             search: None,
         };
         Lookup::Hit { served, answered, via_probe2 }
@@ -738,21 +779,20 @@ impl PlanCache {
 
     /// Registers the caller as the leader of the exact search for
     /// `fingerprint`, or returns the search already in flight to wait on.
-    fn lead_search(&self, fingerprint: u64) -> Result<FlightLead<'_>, Arc<Flight>> {
-        let shard = self.shard(fingerprint);
-        let mut guard = lock(shard);
+    fn lead_search(&self, fingerprint: u64) -> Result<FlightLead, Arc<Flight>> {
+        let mut guard = lock(self.shard(fingerprint));
         if let Some(flight) = guard.flights.get(&fingerprint) {
             return Err(Arc::clone(flight));
         }
         let flight = Arc::new(Flight::default());
         guard.flights.insert(fingerprint, Arc::clone(&flight));
-        Ok(FlightLead { shard, fingerprint, flight })
+        Ok(FlightLead { shards: Arc::clone(&self.shards), fingerprint, flight })
     }
 
     /// A snapshot of the counters, summed across shards.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let guard = lock(shard);
             total.hits += guard.hits;
             total.probe2_hits += guard.probe2_hits;
@@ -779,7 +819,7 @@ impl PlanCache {
         // Only handles are cloned under a shard lock; the instance text is
         // rendered after the lock is released.
         let mut resident: Vec<Resident> = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let guard = lock(shard);
             resident.extend(guard.map.iter().filter(|(_, e)| e.primary && e.exact).map(
                 |(&fingerprint, entry)| Resident {
@@ -810,7 +850,7 @@ impl PlanCache {
     /// byte-identical exports regardless of insertion order.
     pub fn export_partition(&self, moved: impl Fn(u64) -> bool) -> PlanSnapshot {
         let mut exported: Vec<Resident> = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let mut guard = lock(shard);
             let moving: Vec<u64> = guard
                 .map
@@ -953,7 +993,7 @@ impl PlanCache {
 
     /// Drops every cached entry (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let mut guard = lock(shard);
             guard.map.clear();
             guard.order.clear();
@@ -1348,6 +1388,86 @@ mod tests {
             }
         });
         assert_eq!(cache.stats().misses, 4, "nothing is kept for a follower to hit");
+    }
+
+    /// Serves `inst`'s first miss through the tiered resume, keeping the
+    /// refinement (and with it the key's flight) by hand.
+    fn tier1_miss(cache: &PlanCache, inst: &QueryInstance) -> (ServedPlan, Refinement) {
+        let Probe::Pending(pending) = cache.probe(inst) else { panic!("empty cache hit") };
+        let mut held = None;
+        let served = cache.resume_tiered(inst, pending, &BnbConfig::paper(), |refinement| {
+            held = Some(refinement);
+            None
+        });
+        (served, held.expect("a leading miss hands off its refinement"))
+    }
+
+    #[test]
+    fn tiered_miss_holds_its_flight_until_the_refinement_writes_back() {
+        let cache = PlanCache::new(CacheConfig::default());
+        let inst = instance(9, 7);
+        let exact = optimize(&inst);
+        let (first, refinement) = tier1_miss(&cache, &inst);
+        assert_eq!((first.source, first.tier), (ServeSource::Cold, PlanTier::Heuristic));
+        // The heuristic entry is resident, but neither a hit nor
+        // snapshot material: a restored cache could not tell the tiers
+        // apart.
+        assert_eq!(cache.stats().heuristic_entries, 1);
+        assert_eq!(cache.snapshot().entries.len(), 0, "heuristic entries are never persisted");
+        assert!(matches!(cache.probe(&inst), Probe::Pending(_)), "a heuristic entry never hits");
+
+        std::thread::scope(|scope| {
+            let repeat = scope.spawn(|| cache.serve(&inst, &BnbConfig::paper()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!repeat.is_finished(), "a repeat waits for the refinement's flight");
+            let refined = refinement.run(&cache, &BnbConfig::paper());
+            assert_eq!(refined.cost.to_bits(), exact.cost().to_bits());
+            let repeat = repeat.join().expect("serve does not panic");
+            assert_eq!((repeat.source, repeat.tier), (ServeSource::CacheHit, PlanTier::Exact));
+            assert_eq!(repeat.cost.to_bits(), exact.cost().to_bits());
+            assert_eq!(&repeat.plan, exact.plan());
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (1, 1, 0));
+        assert_eq!(stats.heuristic_entries, 0);
+        assert_eq!(cache.snapshot().entries.len(), 1, "the refined entry is persisted");
+        assert!(cache.shards.iter().all(|shard| lock(shard).flights.is_empty()), "flights end");
+    }
+
+    /// A refinement dropped unrun (a stopped pool, a panicking search)
+    /// releases its flight; the entry it leaves is treated as stale.
+    #[test]
+    fn unrun_refinement_releases_its_flight_and_the_entry_warm_starts() {
+        let cache = PlanCache::new(CacheConfig::default());
+        let inst = instance(10, 7);
+        let (_, refinement) = tier1_miss(&cache, &inst);
+        drop(refinement);
+        let served = cache.serve(&inst, &BnbConfig::paper());
+        assert_eq!((served.source, served.tier), (ServeSource::WarmStart, PlanTier::Exact));
+        assert_eq!(served.cost.to_bits(), optimize(&inst).cost().to_bits());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (0, 1, 1));
+        assert_eq!(stats.heuristic_entries, 0);
+    }
+
+    /// When the refinement cannot be queued, or a zero-capacity cache
+    /// has no flight to hand off, the miss is answered exactly in line.
+    #[test]
+    fn tiered_miss_without_a_queued_refinement_is_answered_exactly() {
+        let inst = instance(11, 7);
+        let exact = optimize(&inst);
+        for capacity in [0, 128] {
+            let cache = PlanCache::new(CacheConfig {
+                capacity_per_shard: capacity,
+                ..CacheConfig::default()
+            });
+            let Probe::Pending(pending) = cache.probe(&inst) else { panic!("empty cache hit") };
+            let served = cache.resume_tiered(&inst, pending, &BnbConfig::paper(), Some);
+            assert_eq!((served.source, served.tier), (ServeSource::Cold, PlanTier::Exact));
+            assert_eq!(served.cost.to_bits(), exact.cost().to_bits());
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.heuristic_entries), (1, 0));
+        }
     }
 
     #[test]

@@ -32,11 +32,13 @@
 //!   [`TieredStats`], the fleet's routing in [`FleetStats`]. Membership
 //!   is dynamic: a versioned [`FleetConfig`] file re-resolved by
 //!   [`FleetMembership`] with atomic generation cutover.
-//! * **Two-tier anytime planning** ([`TieredPlanner`]) — misses are
-//!   answered immediately by the greedy heuristic (tier 1) and refined
-//!   to proven-optimal plans on a background worker pool that upgrades
-//!   the cache entry in place; [`ServedPlan::tier`] reports what a
-//!   response is worth ([`PlanTier::Exact`] plans are proven optimal).
+//! * **Two-tier anytime planning** ([`TieredPlanner`]) — a key's first
+//!   miss is answered immediately by the greedy heuristic (tier 1) and
+//!   refined to the proven-optimal plan on a background worker that
+//!   holds the key's single-flight until it writes back, so every later
+//!   request for the key gets the exact plan; [`ServedPlan::tier`]
+//!   reports what a response is worth ([`PlanTier::Exact`] plans are
+//!   proven optimal).
 //! * [`plan_batch`] — drains a request queue across a worker pool
 //!   sharing one planner (for a cache-backed batch, a [`CachedPlanner`]),
 //!   returning results in **request order** regardless of worker
@@ -92,7 +94,7 @@ pub use planner::{
     Planner,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use tiered::{TieredConfig, TieredPlanner, TieredStats};
+pub use tiered::{TieredPlanner, TieredStats};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

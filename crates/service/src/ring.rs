@@ -54,8 +54,7 @@ fn label_seed(label: &str) -> u64 {
 pub struct HashRing {
     /// Virtual nodes sorted by ring position: `(position, backend)`.
     points: Vec<(u64, usize)>,
-    labels: Vec<String>,
-    vnodes: usize,
+    backends: usize,
 }
 
 impl HashRing {
@@ -89,7 +88,7 @@ impl HashRing {
         // a total order) break by backend index so construction is
         // deterministic regardless of sort internals.
         points.sort_unstable();
-        HashRing { points, labels: labels.iter().map(|l| l.as_ref().to_string()).collect(), vnodes }
+        HashRing { points, backends: labels.len() }
     }
 
     /// The backend index owning `fingerprint`: the backend of the first
@@ -106,36 +105,19 @@ impl HashRing {
     pub fn successors(&self, fingerprint: u64) -> Vec<usize> {
         let position = mix64(fingerprint);
         let start = self.points.partition_point(|&(p, _)| p < position);
-        let mut seen = vec![false; self.labels.len()];
-        let mut order = Vec::with_capacity(self.labels.len());
+        let mut seen = vec![false; self.backends];
+        let mut order = Vec::with_capacity(self.backends);
         for offset in 0..self.points.len() {
             let backend = self.points[(start + offset) % self.points.len()].1;
             if !seen[backend] {
                 seen[backend] = true;
                 order.push(backend);
-                if order.len() == self.labels.len() {
+                if order.len() == self.backends {
                     break;
                 }
             }
         }
         order
-    }
-
-    /// The backend labels this ring was built over, in index order.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
-    /// Virtual nodes per backend this ring was built with.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// The label owning `fingerprint` — convenience over
-    /// [`route`](Self::route) for callers that compare by endpoint
-    /// rather than index (the rebalance path).
-    pub fn owner_label(&self, fingerprint: u64) -> &str {
-        &self.labels[self.route(fingerprint)]
     }
 }
 
@@ -155,7 +137,6 @@ mod tests {
             let owner = ring.route(key);
             assert!(owner < 3);
             assert_eq!(owner, again.route(key), "same labels, same ring");
-            assert_eq!(ring.owner_label(key), &ring.labels()[owner]);
         }
     }
 
@@ -175,10 +156,13 @@ mod tests {
 
     #[test]
     fn growing_the_fleet_remaps_about_one_over_n() {
-        let before = HashRing::new(&labels(2));
-        let after = HashRing::new(&labels(3));
+        // The two label vectors share a prefix, so an unmoved key keeps
+        // its backend index.
+        let grown = labels(3);
+        let before = HashRing::new(&grown[..2]);
+        let after = HashRing::new(&grown);
         let keys: Vec<u64> = (0..3000).map(|k| mix64(k ^ 0xabcd)).collect();
-        let moved = keys.iter().filter(|&&k| before.owner_label(k) != after.owner_label(k)).count();
+        let moved = keys.iter().filter(|&&k| before.route(k) != after.route(k)).count();
         // Ideal is 1/3 of keys moving (1000). Modulo routing would move
         // about half. Assert the consistent-hash envelope: strictly
         // better than modulo's churn, and every move lands on the new
@@ -186,9 +170,9 @@ mod tests {
         // grows).
         assert!((500..=1600).contains(&moved), "{moved} of 3000 keys moved on a 2->3 resize");
         for &key in &keys {
-            if before.owner_label(key) != after.owner_label(key) {
+            if before.route(key) != after.route(key) {
                 assert_eq!(
-                    after.owner_label(key),
+                    grown[after.route(key)],
                     "unix:///tmp/backend-2.sock",
                     "keys only move to the joining backend"
                 );

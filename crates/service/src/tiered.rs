@@ -1,7 +1,7 @@
-//! Two-tier anytime planning: answer cache misses **immediately** from
-//! a greedy heuristic (tier 1), refine them to proven-optimal plans on
-//! a bounded background worker pool, and upgrade the cache entry in
-//! place when the refinement lands (tier 2).
+//! Two-tier anytime planning: answer a key's first miss **immediately**
+//! from a greedy heuristic (tier 1), refine it to the proven-optimal
+//! plan on a bounded background worker pool, and write the exact plan
+//! back when the refinement lands (tier 2).
 //!
 //! A cold exact search costs hundreds of microseconds and grows with n;
 //! the cubic greedy ordering from `dsq-baselines`
@@ -15,24 +15,29 @@
 //! far more of the tree than the cold search the miss would otherwise
 //! have paid in line. The steady state therefore converges to exactly
 //! the cache a [`CachedPlanner`](crate::CachedPlanner) would have built
-//! — same keys, same exact plans — while every miss was answered at
-//! heuristic latency.
+//! — same keys, same exact plans — while every first miss was answered
+//! at heuristic latency.
 //!
-//! Serving semantics ([`TieredPlanner::plan`]):
+//! Serving semantics ([`TieredPlanner::plan`]). A heuristic-tier entry
+//! is only a *possible* optimum, so the cache treats it like a stale
+//! entry; the refinement holds its key's single-flight, as a cold
+//! search does:
 //!
 //! * **hit on an exact entry** — identical to the cached planner:
 //!   validated plan, [`PlanTier::Exact`].
-//! * **hit on a still-heuristic entry** — the plan is served as
-//!   [`PlanTier::Heuristic`], and a refinement is
-//!   (re-)enqueued in case the original job was dropped by the bounded
-//!   queue.
-//! * **miss** — the greedy plan is returned immediately at
-//!   [`PlanTier::Heuristic`], written back as a heuristic-tier entry,
-//!   and a refinement job (instance + incumbent) is enqueued.
-//! * **stale hit (out of validation tolerance)** — the exact search
-//!   runs in line, warm-started from the cached plan, exactly as in the
-//!   cached planner: a stale entry proves the key is hot, so the warm
-//!   start doubles as its refinement.
+//! * **miss** — the request leads its key's flight, answers with the
+//!   greedy plan at [`PlanTier::Heuristic`], writes it back as a
+//!   heuristic-tier entry, and hands the flight to a refinement job.
+//!   If the bounded queue is full, it runs that search in line instead
+//!   and answers exactly; a tier-1 answer always has its refinement
+//!   queued.
+//! * **any request while its key's refinement runs** — waits for the
+//!   flight, then hits the exact plan. Which answer a repeat gets never
+//!   depends on how the threads are timed.
+//! * **stale hit (out of validation tolerance)**, or a heuristic-tier
+//!   entry whose refinement never landed — the exact search runs in
+//!   line, warm-started from the cached plan, exactly as in the cached
+//!   planner.
 //!
 //! [`TieredPlanner::drain`] blocks until the refinement queue is empty,
 //! which makes convergence deterministic for tests, snapshots, and batch
@@ -40,51 +45,29 @@
 //! session is exact, and [`PlanCache::snapshot`] (which skips
 //! heuristic-tier entries) persists the full working set.
 
-use crate::cache::{PendingServe, PlanCache, PlanTier, Probe, ServedPlan};
+use crate::cache::{PendingServe, PlanCache, Probe, Refinement, ServedPlan};
 use crate::planner::{PlanError, Planner};
-use dsq_baselines::fast_greedy;
-use dsq_core::{optimize_with, BnbConfig, Plan, QueryInstance};
-use std::collections::{HashSet, VecDeque};
-use std::num::NonZeroUsize;
+use dsq_core::{BnbConfig, QueryInstance};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Knobs of the background refinement pool. Passive struct; fields are
-/// public.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TieredConfig {
-    /// Background worker threads running exact refinements.
-    pub refine_workers: NonZeroUsize,
-    /// Maximum queued refinement jobs; beyond it, new jobs are dropped
-    /// (counted in [`TieredStats::refine_dropped`]) — a hit on the
-    /// still-heuristic entry re-enqueues them once the queue drains.
-    pub queue_capacity: usize,
-}
+/// Background worker threads running exact refinements.
+const REFINE_WORKERS: usize = 1;
 
-impl Default for TieredConfig {
-    /// One refinement worker, 256 queued jobs.
-    fn default() -> Self {
-        TieredConfig {
-            refine_workers: NonZeroUsize::new(1).expect("non-zero literal"),
-            queue_capacity: 256,
-        }
-    }
-}
+/// Maximum queued refinements; a miss that finds the queue full runs its
+/// exact search in line.
+const QUEUE_CAPACITY: usize = 256;
 
 /// Counters of the tiered serve path and its refinement pool. Passive
 /// struct; fields are public.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TieredStats {
-    /// Requests answered at the heuristic tier (fresh misses plus hits
-    /// on entries whose refinement had not landed yet).
+    /// Requests answered at the heuristic tier: misses whose refinement
+    /// was queued.
     pub heuristic_served: u64,
-    /// Refinements that completed and upgraded their cache entry.
+    /// Refinements that completed and wrote their exact plan back.
     pub refined: u64,
-    /// Refinement jobs skipped at dequeue because the entry was already
-    /// exact (a warm start beat the worker to it) or had been evicted.
-    pub refine_skipped: u64,
-    /// Refinement jobs dropped because the bounded queue was full.
-    pub refine_dropped: u64,
     /// Largest relative optimality gap among refined plans:
     /// `(heuristic cost − exact cost) / exact cost`.
     pub max_gap: f64,
@@ -109,24 +92,11 @@ impl TieredStats {
     }
 }
 
-/// One queued refinement: the miss instance and the heuristic plan that
-/// answered it (the search incumbent).
-#[derive(Debug)]
-struct RefineJob {
-    instance: QueryInstance,
-    incumbent: Plan,
-    heuristic_cost: f64,
-    fingerprint: u64,
-}
-
 /// Queue state and counters, all under one lock (every transition is
 /// cheap; the exact searches run outside it).
 #[derive(Debug, Default)]
 struct RefineState {
-    jobs: VecDeque<RefineJob>,
-    /// Fingerprints queued **or** currently being refined — dedupes
-    /// repeat misses and heuristic-tier hits on the same key.
-    pending: HashSet<u64>,
+    jobs: VecDeque<Refinement>,
     in_flight: usize,
     shutdown: bool,
     stats: TieredStats,
@@ -136,7 +106,6 @@ struct RefineState {
 struct RefineShared {
     cache: Arc<PlanCache>,
     config: BnbConfig,
-    queue_capacity: usize,
     state: Mutex<RefineState>,
     /// Signaled when a job is enqueued or shutdown begins.
     work: Condvar,
@@ -145,11 +114,10 @@ struct RefineShared {
     idle: Condvar,
 }
 
-/// The two-tier anytime planner: heuristic answers on miss, bounded
-/// background exact refinement, in-place cache upgrades. A miss returns
-/// the greedy plan at once and queues its refinement; a hit on a
-/// still-heuristic entry re-queues it; a stale hit runs the exact
-/// search in line, warm-started from the cached plan.
+/// The two-tier anytime planner: heuristic answers on a key's first
+/// miss, bounded background exact refinement that holds the key's
+/// single-flight until it writes back, so every later request for the
+/// key is answered exactly.
 #[derive(Debug)]
 pub struct TieredPlanner {
     shared: Arc<RefineShared>,
@@ -157,27 +125,21 @@ pub struct TieredPlanner {
 }
 
 impl TieredPlanner {
-    /// A tiered planner over `cache`, refining with `config` and the
-    /// default pool ([`TieredConfig::default`]).
+    /// A tiered planner over `cache`, refining with `config` on one
+    /// background worker.
     ///
     /// The cache is shared (`Arc`) rather than borrowed because the
     /// refinement workers are real threads that outlive any borrow the
     /// serving side could grant.
     pub fn new(cache: Arc<PlanCache>, config: BnbConfig) -> Self {
-        TieredPlanner::with_config(cache, config, TieredConfig::default())
-    }
-
-    /// A tiered planner with an explicit pool configuration.
-    pub fn with_config(cache: Arc<PlanCache>, config: BnbConfig, tiered: TieredConfig) -> Self {
         let shared = Arc::new(RefineShared {
             cache,
             config,
-            queue_capacity: tiered.queue_capacity,
             state: Mutex::new(RefineState::default()),
             work: Condvar::new(),
             idle: Condvar::new(),
         });
-        let workers = (0..tiered.refine_workers.get())
+        let workers = (0..REFINE_WORKERS)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || refine_loop(&shared))
@@ -188,7 +150,7 @@ impl TieredPlanner {
 
     /// Blocks until every queued refinement has landed (queue empty and
     /// no job in flight). After `drain`, the cache holds exact plans for
-    /// every key served this session that was not evicted or dropped.
+    /// every key served this session that was not evicted.
     pub fn drain(&self) {
         let mut state = self.shared.state.lock().expect("refine state lock");
         while !state.shutdown && (!state.jobs.is_empty() || state.in_flight > 0) {
@@ -207,41 +169,24 @@ impl TieredPlanner {
     }
 
     /// Finishes a serve that [`PlanCache::probe`] on this planner's
-    /// cache left pending: a miss is answered by the greedy heuristic, a
-    /// hit on a still-heuristic entry is counted and served, a stale
-    /// entry warm-starts in line. Every heuristic-tier answer
-    /// (re-)enqueues its refinement. `instance` must be the one probed.
+    /// cache left pending: a miss that leads its key's flight is
+    /// answered by the greedy heuristic and queues its refinement; a
+    /// request whose key is being refined waits for the exact plan; a
+    /// stale entry warm-starts in line. `instance` must be the one
+    /// probed.
     pub fn resume(&self, instance: &QueryInstance, pending: PendingServe) -> ServedPlan {
-        let served =
-            self.shared.cache.resume_heuristic(instance, pending, &self.shared.config, |inst| {
-                let greedy = fast_greedy(inst);
-                (greedy.plan().clone(), greedy.cost())
-            });
-        if served.tier == PlanTier::Heuristic {
-            self.enqueue(instance, &served);
-        }
-        served
-    }
-
-    fn enqueue(&self, instance: &QueryInstance, served: &ServedPlan) {
-        let mut state = self.shared.state.lock().expect("refine state lock");
-        state.stats.heuristic_served += 1;
-        if state.shutdown || state.pending.contains(&served.fingerprint) {
-            return;
-        }
-        if state.jobs.len() >= self.shared.queue_capacity {
-            state.stats.refine_dropped += 1;
-            return;
-        }
-        state.pending.insert(served.fingerprint);
-        state.jobs.push_back(RefineJob {
-            instance: instance.clone(),
-            incumbent: served.plan.clone(),
-            heuristic_cost: served.cost,
-            fingerprint: served.fingerprint,
-        });
-        drop(state);
-        self.shared.work.notify_one();
+        self.shared.cache.resume_tiered(instance, pending, &self.shared.config, |refinement| {
+            let mut state = self.shared.state.lock().expect("refine state lock");
+            if state.shutdown || state.jobs.len() >= QUEUE_CAPACITY {
+                // Handed back: the miss runs its search in line.
+                return Some(refinement);
+            }
+            state.stats.heuristic_served += 1;
+            state.jobs.push_back(refinement);
+            drop(state);
+            self.shared.work.notify_one();
+            None
+        })
     }
 }
 
@@ -260,10 +205,15 @@ impl Planner for TieredPlanner {
 
 impl Drop for TieredPlanner {
     fn drop(&mut self) {
-        {
+        // Refinements that never ran release their flights as they drop,
+        // so no request waits on a stopped pool (their entries stay
+        // heuristic, and the next request for such a key warm-starts).
+        let unrun = {
             let mut state = self.shared.state.lock().expect("refine state lock");
             state.shutdown = true;
-        }
+            std::mem::take(&mut state.jobs)
+        };
+        drop(unrun);
         self.shared.work.notify_all();
         self.shared.idle.notify_all();
         for worker in self.workers.drain(..) {
@@ -288,30 +238,19 @@ fn refine_loop(shared: &RefineShared) {
             }
         };
 
-        // Search outside the lock. Skip the work entirely when the entry
-        // was upgraded (warm start) or evicted since the job was queued.
-        let refined = if shared.cache.needs_refinement(job.fingerprint) {
-            let config = shared.config.clone().with_initial_incumbent(job.incumbent.clone());
-            let result = optimize_with(&job.instance, &config);
-            shared.cache.upgrade(&job.instance, result.plan(), result.cost());
-            let denom = result.cost().abs().max(f64::MIN_POSITIVE);
-            let gap = ((job.heuristic_cost - result.cost()) / denom).max(0.0);
-            Some((gap, result.stats().nodes_visited))
-        } else {
-            None
-        };
+        // Search outside the lock; the write-back releases the key's
+        // flight, waking the requests that waited for the exact plan.
+        let heuristic_cost = job.heuristic_cost;
+        let refined = job.run(&shared.cache, &shared.config);
+        let denom = refined.cost.abs().max(f64::MIN_POSITIVE);
+        let gap = ((heuristic_cost - refined.cost) / denom).max(0.0);
+        let nodes = refined.search.map_or(0, |search| search.nodes_visited);
 
         let mut state = shared.state.lock().expect("refine state lock");
-        match refined {
-            Some((gap, nodes)) => {
-                state.stats.refined += 1;
-                state.stats.gap_sum += gap;
-                state.stats.max_gap = state.stats.max_gap.max(gap);
-                state.stats.refine_nodes += nodes;
-            }
-            None => state.stats.refine_skipped += 1,
-        }
-        state.pending.remove(&job.fingerprint);
+        state.stats.refined += 1;
+        state.stats.gap_sum += gap;
+        state.stats.max_gap = state.stats.max_gap.max(gap);
+        state.stats.refine_nodes += nodes;
         state.in_flight -= 1;
         if state.jobs.is_empty() && state.in_flight == 0 {
             shared.idle.notify_all();
@@ -322,7 +261,7 @@ fn refine_loop(shared: &RefineShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, ServeSource};
+    use crate::cache::{CacheConfig, PlanTier, ServeSource};
     use dsq_core::optimize;
     use dsq_workloads::{generate, Family};
 
@@ -349,7 +288,7 @@ mod tests {
         planner.drain();
         let second = planner.plan(&inst).expect("plans");
         assert_eq!(second.source, ServeSource::CacheHit, "refined entry hits");
-        assert_eq!(second.tier, PlanTier::Exact, "refinement upgraded the entry in place");
+        assert_eq!(second.tier, PlanTier::Exact, "the refinement wrote the exact plan back");
         let fresh = optimize(&inst);
         assert_eq!(second.cost.to_bits(), fresh.cost().to_bits());
         assert_eq!(&second.plan, fresh.plan());
@@ -381,87 +320,32 @@ mod tests {
         }
     }
 
+    /// Repeats issued back to back, with no drain between them, wait for
+    /// the first request's refinement instead of racing it: only the
+    /// first is answered at tier 1, and every repeat hits the exact plan.
     #[test]
     fn repeat_misses_on_one_key_dedupe_to_one_refinement() {
-        // Queue capacity 0: every refinement is dropped, so the entry
-        // stays heuristic and each hit re-attempts an enqueue.
-        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
-        let planner = TieredPlanner::with_config(
-            cache,
-            BnbConfig::paper(),
-            TieredConfig { queue_capacity: 0, ..TieredConfig::default() },
-        );
+        let planner = tiered_over(64);
         let inst = instance(2);
-        for _ in 0..4 {
-            let served = planner.plan(&inst).expect("plans");
-            assert_eq!(served.tier, PlanTier::Heuristic, "dropped refinement leaves tier 1");
+        let exact = optimize(&inst);
+        let first = planner.plan(&inst).expect("plans");
+        assert_eq!((first.source, first.tier), (ServeSource::Cold, PlanTier::Heuristic));
+        for _ in 0..3 {
+            let repeat = planner.plan(&inst).expect("plans");
+            assert_eq!((repeat.source, repeat.tier), (ServeSource::CacheHit, PlanTier::Exact));
+            assert_eq!(repeat.cost.to_bits(), exact.cost().to_bits());
+            assert_eq!(&repeat.plan, exact.plan());
         }
         planner.drain();
         let tiered = planner.tiered_stats();
-        assert_eq!(tiered.refined, 0);
-        assert_eq!(tiered.refine_dropped, 4);
-        assert_eq!(tiered.heuristic_served, 4);
-        assert_eq!(planner.cache().stats().heuristic_entries, 1);
-    }
-
-    /// A hit on a still-heuristic entry is never the probe's answer (a
-    /// daemon probing on its reactor hands it to a worker): the resume
-    /// counts it once, serves it at tier 1 and re-enqueues its
-    /// refinement.
-    #[test]
-    fn heuristic_tier_hits_resume_once_and_re_enqueue_their_refinement() {
-        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
-        // Refinements dropped: the miss leaves a heuristic-tier entry.
-        let stalled = TieredPlanner::with_config(
-            Arc::clone(&cache),
-            BnbConfig::paper(),
-            TieredConfig { queue_capacity: 0, ..TieredConfig::default() },
-        );
-        let inst = instance(3);
-        assert_eq!(stalled.plan(&inst).expect("plans").tier, PlanTier::Heuristic);
-        assert_eq!(stalled.tiered_stats().refine_dropped, 1);
-
-        let planner = TieredPlanner::new(Arc::clone(&cache), BnbConfig::paper());
-        let Probe::Pending(pending) = cache.probe(&inst) else {
-            panic!("a heuristic-tier entry must not be the probe's answer")
-        };
-        assert_eq!(cache.stats().hits, 0, "the probe counts nothing");
-        let served = planner.resume(&inst, pending);
-        assert_eq!((served.source, served.tier), (ServeSource::CacheHit, PlanTier::Heuristic));
-        assert_eq!(cache.stats().hits, 1, "the resume counts the hit once");
-        planner.drain();
-        let tiered = planner.tiered_stats();
-        assert_eq!((tiered.heuristic_served, tiered.refined, tiered.refine_dropped), (1, 1, 0));
-
-        // Refined: now the probe answers, as an exact-tier hit.
-        let Probe::Hit(hit) = cache.probe(&inst) else { panic!("the refined entry must hit") };
-        assert_eq!(hit.tier, PlanTier::Exact);
-        assert_eq!(hit.cost.to_bits(), optimize(&inst).cost().to_bits());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (2, 1, 0));
-        assert_eq!(planner.tiered_stats().heuristic_served, 1, "exact hits are not tier 1");
+        assert_eq!((tiered.heuristic_served, tiered.refined), (1, 1));
+        let stats = planner.cache().stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_starts), (3, 1, 0));
     }
 
     #[test]
-    fn snapshots_skip_unrefined_entries_until_drain() {
+    fn drained_snapshots_persist_the_working_set_as_exact() {
         let instances: Vec<QueryInstance> = (0..3).map(instance).collect();
-
-        // With refinement suppressed (queue capacity 0) every entry
-        // stays heuristic, and the snapshot must not persist any of
-        // them: a restored cache cannot tell the tiers apart.
-        let unrefined = Arc::new(PlanCache::new(CacheConfig::default()));
-        let stalled = TieredPlanner::with_config(
-            Arc::clone(&unrefined),
-            BnbConfig::paper(),
-            TieredConfig { queue_capacity: 0, ..TieredConfig::default() },
-        );
-        for inst in &instances {
-            stalled.plan(inst).expect("plans");
-        }
-        stalled.drain();
-        assert_eq!(unrefined.stats().entries, 3, "heuristic entries are resident");
-        assert_eq!(unrefined.snapshot().entries.len(), 0, "but never persisted");
-
         let cache = Arc::new(PlanCache::new(CacheConfig::default()));
         let planner = TieredPlanner::new(Arc::clone(&cache), BnbConfig::paper());
         for inst in &instances {

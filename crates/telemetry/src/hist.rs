@@ -61,7 +61,7 @@ impl Histogram {
     ///
     /// Panics unless `1 <= grid_bits <= 12` (beyond 12 the bucket array
     /// stops paying for its precision).
-    pub fn with_grid_bits(grid_bits: u32) -> Self {
+    fn with_grid_bits(grid_bits: u32) -> Self {
         assert!((1..=12).contains(&grid_bits), "grid_bits must be in 1..=12, got {grid_bits}");
         let grid = 1usize << grid_bits;
         // Indices 0..2*grid are exact width-1 buckets; each coarser

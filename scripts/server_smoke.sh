@@ -261,25 +261,49 @@ done | "$bin" client --unix "$burst_sock" optimize - --repeat 2 > "$workdir/stdi
 wait "$burst_pid"
 
 # ---- tiered serve-batch smoke ----------------------------------------
-# First run: every miss is answered at the greedy tier (`tier heur` on
-# the output line) and refined to exact before the snapshot is written
-# (heuristic-tier entries are never persisted). Second run restores the
+# Three keys, each present three times (`b*` first, then the `d*` and
+# `e*` copies). First run: each key's first request is answered at the
+# greedy tier (`tier heur` on the output line); every copy waits for
+# that key's refinement and hits the exact plan, and everything is
+# refined before the snapshot is written (heuristic-tier entries are
+# never persisted). The output, with the timing line masked, is the
+# same on every run, with one worker or two. Second run restores the
 # snapshot: pure exact hits, no heuristic answer — the background
-# refinement upgraded the hit path across the restart.
+# refinement carried the exact plans across the restart.
 batch_dir="$workdir/batch"
 mkdir -p "$batch_dir"
 for seed in 31 32 33; do
     "$bin" generate --family clustered -n 7 --seed "$seed" > "$batch_dir/b$seed.dsq"
+    cp "$batch_dir/b$seed.dsq" "$batch_dir/d$seed.dsq"
+    cp "$batch_dir/b$seed.dsq" "$batch_dir/e$seed.dsq"
 done
 tiered_snap="$workdir/tiered.dsqc"
 "$bin" serve-batch "$batch_dir" --workers 1 --tiered --snapshot-out "$tiered_snap" \
     > "$workdir/tiered-cold.out"
 [ "$(grep -c " tier heur$" "$workdir/tiered-cold.out")" -eq 3 ]
+[ "$(grep -c "^b3[123].dsq  *cold .* tier heur$" "$workdir/tiered-cold.out")" -eq 3 ]
+[ "$(grep -c "^[de]3[123].dsq  *hit .*[0-9]$" "$workdir/tiered-cold.out")" -eq 6 ]
+grep -q "cache: 6 hits, 0 warm starts, 3 cold" "$workdir/tiered-cold.out"
 grep -q "tiered: 3 tier-1 answers, 3 refined" "$workdir/tiered-cold.out"
 grep -q "wrote snapshot (3 entries)" "$workdir/tiered-cold.out"
+# With two workers, which copy of a key leads (and gets the tier-1
+# answer) is a scheduling race that plain `serve-batch --workers 2` has
+# as well, so that leg drops the name column and sorts the lines: the
+# answers themselves, one tier-1 line and two exact hits per key, must
+# still be the same on every run.
+for workers in 1 2; do
+    distinct=$(for _ in $(seq 20); do
+        "$bin" serve-batch "$batch_dir" --workers "$workers" --tiered | grep -v "^served " |
+            if [ "$workers" -eq 1 ]; then cat; else sed 's/^[^ ]* *//' | sort; fi | cksum
+    done | sort -u | wc -l)
+    [ "$distinct" -eq 1 ] || {
+        echo "server_smoke: serve-batch --tiered --workers $workers gave $distinct outputs in 20 runs" >&2
+        exit 1
+    }
+done
 "$bin" serve-batch "$batch_dir" --workers 1 --tiered --snapshot-in "$tiered_snap" \
     > "$workdir/tiered-warm.out"
-grep -q "cache: 3 hits, 0 warm starts, 0 cold" "$workdir/tiered-warm.out"
+grep -q "cache: 9 hits, 0 warm starts, 0 cold" "$workdir/tiered-warm.out"
 grep -q "tiered: 0 tier-1 answers, 0 refined" "$workdir/tiered-warm.out"
 if grep -q " tier heur" "$workdir/tiered-warm.out"; then
     echo "server_smoke: restored tiered cache still answered heuristically" >&2
