@@ -96,6 +96,20 @@ impl CommMatrix {
         Ok(CommMatrix { n, data })
     }
 
+    /// Builds a matrix from its `n × n` row-major values, with the value
+    /// check of [`CommMatrix::from_rows`] in the same (row-major) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data` holds exactly `n * n` values.
+    pub(crate) fn from_row_major(n: usize, data: Vec<f64>) -> Result<Self, ModelError> {
+        assert_eq!(data.len(), n * n, "a {n}×{n} matrix needs {} values", n * n);
+        if let Some(&value) = data.iter().find(|v| !v.is_finite() || **v < 0.0) {
+            return Err(ModelError::InvalidValue { what: "transfer cost", value });
+        }
+        Ok(CommMatrix { n, data })
+    }
+
     /// The number of services (matrix dimension).
     pub fn len(&self) -> usize {
         self.n

@@ -19,6 +19,21 @@
 //! sink 0.0 0.0 0.0                      # optional; defaults to zeros
 //! edge 0 2                              # optional precedence: 0 before 2
 //! ```
+//!
+//! Fields are separated by whatever [`char::is_whitespace`] accepts: on
+//! an ASCII line that is space and `\t \n \x0B \x0C \r` (note `\x0B`,
+//! which [`u8::is_ascii_whitespace`] leaves out); a line with any byte
+//! ≥ 0x80 also splits on Unicode whitespace such as U+00A0 or U+3000.
+//!
+//! # Reading
+//!
+//! [`parse_instance`] reads a document in one pass over its bytes,
+//! eight at a time where it can (finding line ends, comments and field
+//! breaks), and allocates nothing per line or per row: the `row` values
+//! go straight onto one buffer that becomes the matrix's row-major
+//! storage. It is the only reader of the format: the daemon and the CLI
+//! both call it. Values are not bucketed here; that is
+//! [`CanonicalKey`](crate::CanonicalKey)'s job.
 
 use crate::comm::CommMatrix;
 use crate::error::ModelError;
@@ -26,7 +41,7 @@ use crate::instance::QueryInstance;
 use crate::precedence::PrecedenceDag;
 use crate::service::Service;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error raised by [`parse_instance`].
 #[derive(Debug, Clone, PartialEq)]
@@ -83,52 +98,190 @@ impl From<ModelError> for ParseInstanceError {
 /// field).
 pub fn format_instance(instance: &QueryInstance) -> String {
     let n = instance.len();
-    let mut out = String::from("dsq-instance v1\n");
-    out.push_str(&format!("name {}\n", instance.name()));
-    out.push_str(&format!("n {n}\n"));
+    // About 20 bytes per value covers the shortest round-trip decimals,
+    // so one allocation usually holds the whole document.
+    let mut out = String::with_capacity(64 + 20 * n * (n + 4));
+    // `fmt::Write` for `String` never fails.
+    let _ = write_instance(&mut out, instance);
+    out
+}
+
+fn write_instance(out: &mut String, instance: &QueryInstance) -> fmt::Result {
+    let n = instance.len();
+    writeln!(out, "dsq-instance v1")?;
+    writeln!(out, "name {}", instance.name())?;
+    writeln!(out, "n {n}")?;
     for (i, s) in instance.services().iter().enumerate() {
+        write!(out, "service {i} {} {}", s.cost(), s.selectivity())?;
         match s.name() {
-            Some(name) => {
-                out.push_str(&format!("service {i} {} {} {name}\n", s.cost(), s.selectivity()))
-            }
-            None => out.push_str(&format!("service {i} {} {}\n", s.cost(), s.selectivity())),
+            Some(name) => writeln!(out, " {name}")?,
+            None => writeln!(out)?,
         }
     }
     for i in 0..n {
-        out.push_str(&format!("row {i}"));
+        write!(out, "row {i}")?;
         for j in 0..n {
-            out.push_str(&format!(" {}", instance.transfer(i, j)));
+            write!(out, " {}", instance.transfer(i, j))?;
         }
-        out.push('\n');
+        writeln!(out)?;
     }
     if (0..n).any(|i| instance.sink_cost(i) != 0.0) {
-        out.push_str("sink");
+        write!(out, "sink")?;
         for i in 0..n {
-            out.push_str(&format!(" {}", instance.sink_cost(i)));
+            write!(out, " {}", instance.sink_cost(i))?;
         }
-        out.push('\n');
+        writeln!(out)?;
     }
     if let Some(dag) = instance.precedence() {
         for &(a, b) in dag.edges() {
-            out.push_str(&format!("edge {a} {b}\n"));
+            writeln!(out, "edge {a} {b}")?;
         }
     }
-    out
+    Ok(())
+}
+
+/// Whitespace as [`char::is_whitespace`] has it below 0x80: space and
+/// `\t \n \x0B \x0C \r`. ([`u8::is_ascii_whitespace`] leaves out `\x0B`.)
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b' ' | b'\t'..=b'\r')
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Marks (with its high bit) each byte of `word` equal to `byte`. The
+/// lowest mark is exact, which is the only one [`scan`] reads.
+fn equal_to(word: u64, byte: u8) -> u64 {
+    let v = word ^ (ONES * u64::from(byte));
+    v.wrapping_sub(ONES) & !v & HIGHS
+}
+
+/// Marks each byte of `word` below 0x21: space and the control bytes,
+/// whitespace among them. The lowest mark is exact.
+fn below_bang(word: u64) -> u64 {
+    word.wrapping_sub(ONES * 0x21) & !word & HIGHS
+}
+
+/// The first index at or after `i` whose byte is a `hit`, or
+/// `bytes.len()`. Eight bytes at a time: `marks` flags every hit in a
+/// word (and possibly other bytes, which `hit` then passes over).
+fn scan(bytes: &[u8], mut i: usize, marks: fn(u64) -> u64, hit: fn(u8) -> bool) -> usize {
+    while let Some(word) = bytes.get(i..i + 8) {
+        let marked = marks(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        if marked == 0 {
+            i += 8;
+            continue;
+        }
+        let j = i + (marked.trailing_zeros() / 8) as usize;
+        if hit(bytes[j]) {
+            return j;
+        }
+        i = j + 1;
+    }
+    bytes[i..].iter().position(|&b| hit(b)).map_or(bytes.len(), |k| i + k)
+}
+
+/// The document's content lines: each `\n` ends a line, a `#` cuts the
+/// rest of its line, and lines that are blank once trimmed are skipped.
+/// Yields 1-based line numbers.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+    lineno: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() {
+            let start = self.pos;
+            let stop = scan(
+                bytes,
+                start,
+                |word| equal_to(word, b'\n') | equal_to(word, b'#'),
+                |b| b == b'\n' || b == b'#',
+            );
+            let end = match bytes.get(stop) {
+                Some(b'#') => scan(bytes, stop, |word| equal_to(word, b'\n'), |b| b == b'\n'),
+                _ => stop,
+            };
+            self.pos = end + 1;
+            self.lineno += 1;
+            let content = self.text[start..stop].trim();
+            if !content.is_empty() {
+                return Some((self.lineno, content));
+            }
+        }
+        None
+    }
+}
+
+/// The whitespace-separated fields of one trimmed content line. An ASCII
+/// line is split on its bytes with [`is_space`]; a line holding any byte
+/// ≥ 0x80 goes through [`str::split_whitespace`], so both split where
+/// [`char::is_whitespace`] does.
+enum Fields<'a> {
+    Ascii(&'a str),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a str) -> Self {
+        if line.is_ascii() {
+            Fields::Ascii(line)
+        } else {
+            Fields::Unicode(line.split_whitespace())
+        }
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Fields::Ascii(rest) => {
+                let bytes = rest.as_bytes();
+                let start = bytes.iter().position(|&b| !is_space(b))?;
+                let end = scan(bytes, start, below_bang, is_space);
+                let field = &rest[start..end];
+                *rest = &rest[end..];
+                Some(field)
+            }
+            Fields::Unicode(fields) => fields.next(),
+        }
+    }
+}
+
+/// Parses every remaining field as an `f64` onto `values`; `Err` at the
+/// first field that is not a number.
+fn push_values(fields: Fields<'_>, values: &mut Vec<f64>) -> Result<(), ()> {
+    for field in fields {
+        values.push(field.parse().map_err(|_| ())?);
+    }
+    Ok(())
 }
 
 /// Parses the text format (see module docs).
 ///
+/// One pass over the text's bytes: every `row` line's values go straight
+/// onto one buffer, which is the matrix's row-major storage when the rows
+/// arrive once each and in index order, as [`format_instance`] writes
+/// them. Fields split where [`char::is_whitespace`] does (so `\x0B` and,
+/// on a non-ASCII line, U+00A0 or U+3000 separate fields too), and
+/// numbers parse with [`str::parse`].
+///
 /// # Errors
 ///
 /// Returns [`ParseInstanceError`] describing the offending line or the
-/// model-validation failure.
+/// model-validation failure. A line is reported at its first bad field,
+/// before its width is checked. After the last line come, in order: a
+/// missing `n`, the first undeclared service, the first undeclared row,
+/// and the matrix's checks in row-major order.
 pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim()))
-        .filter(|(_, l)| !l.is_empty());
-
+    let mut lines = Lines { text, pos: 0, lineno: 0 };
     match lines.next() {
         Some((_, "dsq-instance v1")) => {}
         _ => return Err(ParseInstanceError::BadHeader),
@@ -137,7 +290,11 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     let mut name: Option<String> = None;
     let mut n: Option<usize> = None;
     let mut services: Vec<Option<Service>> = Vec::new();
-    let mut rows: Vec<Option<Vec<f64>>> = Vec::new();
+    // Every accepted `row` line's values in arrival order, and each row
+    // index's `(offset, width)` in it; a repeated `row` appends and
+    // repoints its index.
+    let mut values: Vec<f64> = Vec::new();
+    let mut rows: Vec<Option<(usize, usize)>> = Vec::new();
     let mut sink: Option<Vec<f64>> = None;
     let mut edges: Vec<(usize, usize)> = Vec::new();
 
@@ -147,7 +304,7 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     };
 
     for (lineno, line) in lines {
-        let mut fields = line.split_whitespace();
+        let mut fields = Fields::new(line);
         let keyword = fields.next().expect("non-empty line has a first field");
         match keyword {
             "name" => {
@@ -183,10 +340,14 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                     .and_then(|f| f.parse().ok())
                     .filter(|s: &f64| s.is_finite() && *s >= 0.0)
                     .ok_or_else(|| malformed(lineno, "bad service selectivity"))?;
-                let rest: Vec<&str> = fields.collect();
                 let mut service = Service::new(cost, sel);
-                if !rest.is_empty() {
-                    service = service.with_name(rest.join(" "));
+                if let Some(first) = fields.next() {
+                    let mut label = first.to_string();
+                    for word in fields {
+                        label.push(' ');
+                        label.push_str(word);
+                    }
+                    service = service.with_name(label);
                 }
                 services[idx] = Some(service);
             }
@@ -197,21 +358,24 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                     .and_then(|f| f.parse().ok())
                     .filter(|&i| i < count)
                     .ok_or_else(|| malformed(lineno, "row index out of range"))?;
-                let values: Vec<f64> = fields
-                    .map(|f| f.parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| malformed(lineno, "bad transfer cost"))?;
-                if values.len() != count {
+                if values.is_empty() {
+                    // Sized for the whole matrix, but never past what
+                    // the text could hold (each value takes two bytes).
+                    values.reserve(count.saturating_mul(count).min(text.len() / 2));
+                }
+                let offset = values.len();
+                push_values(fields, &mut values)
+                    .map_err(|()| malformed(lineno, "bad transfer cost"))?;
+                if values.len() - offset != count {
                     return Err(malformed(lineno, "row width must equal n"));
                 }
-                rows[idx] = Some(values);
+                rows[idx] = Some((offset, count));
             }
             "sink" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `sink`"))?;
-                let values: Vec<f64> = fields
-                    .map(|f| f.parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| malformed(lineno, "bad sink cost"))?;
+                let mut values = Vec::with_capacity(count);
+                push_values(fields, &mut values)
+                    .map_err(|()| malformed(lineno, "bad sink cost"))?;
                 if values.len() != count {
                     return Err(malformed(lineno, "sink width must equal n"));
                 }
@@ -239,29 +403,41 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
         .into_iter()
         .enumerate()
         .map(|(i, s)| {
-            s.ok_or(ParseInstanceError::MissingSection("service")).map_err(|_| {
-                ParseInstanceError::Malformed {
-                    line: 0,
-                    reason: format!("service {i} was never declared"),
-                }
+            s.ok_or_else(|| ParseInstanceError::Malformed {
+                line: 0,
+                reason: format!("service {i} was never declared"),
             })
         })
         .collect::<Result<_, _>>()?;
-    let rows: Vec<Vec<f64>> = rows
+    let rows: Vec<(usize, usize)> = rows
         .into_iter()
         .enumerate()
         .map(|(i, r)| {
-            r.ok_or(ParseInstanceError::Malformed {
+            r.ok_or_else(|| ParseInstanceError::Malformed {
                 line: 0,
                 reason: format!("row {i} was never declared"),
             })
         })
         .collect::<Result<_, _>>()?;
+    // Rows that arrived once each, in index order, at the final width
+    // already are the row-major matrix. Any other arrangement (shuffled,
+    // repeated, or declared before `n` changed, which may also leave
+    // values of rows an `n` cut off) is gathered row by row and meets
+    // the same checks through `from_rows`.
+    let in_place = values.len() == count * count
+        && rows.iter().enumerate().all(|(i, &row)| row == (i * count, count));
+    let comm = if in_place {
+        CommMatrix::from_row_major(count, values)
+    } else {
+        CommMatrix::from_rows(
+            rows.iter().map(|&(offset, width)| values[offset..offset + width].to_vec()).collect(),
+        )
+    };
 
     let mut builder = QueryInstance::builder()
         .name(name.unwrap_or_else(|| "query".into()))
         .services(services)
-        .comm(CommMatrix::from_rows(rows).map_err(ParseInstanceError::Invalid)?);
+        .comm(comm.map_err(ParseInstanceError::Invalid)?);
     if let Some(sink) = sink {
         builder = builder.sink(sink);
     }

@@ -43,6 +43,17 @@
 //! `write` call — the frame/syscall amortization the pipelined wire
 //! grammar exists for.
 //!
+//! **Framing in place.** Input stays in the connection's read buffer
+//! until a request is complete. The reactor scans the buffer for line
+//! ends, resuming where the last read's scan stopped, and tests each
+//! document line for the `end` trailer; the finished document goes to
+//! `parse_instance` as a slice of the buffer, with no per-line copy. A
+//! request whose bytes (trailer included, newline or not yet) pass its
+//! cap — `MAX_REQUEST_BYTES` for verb lines and documents, the import
+//! cap for `import-partition` — is refused at once with its `exceeds`
+//! error, and the connection is flushed and closed: a peer that never
+//! sends a newline cannot grow the buffer past the cap plus one read.
+//!
 //! Per-connection panics are caught ([`std::panic::catch_unwind`]), and
 //! counted in `ServerStats::connection_panics` with one stderr line
 //! each — a poisoned connection is torn down, the server keeps serving.
@@ -109,11 +120,12 @@ struct Slot {
 enum ReadMode {
     /// Between requests: the next line is a verb or document header.
     Line,
-    /// Accumulating a `dsq-instance` document up to its `end` marker.
-    Document(Vec<u8>),
-    /// Accumulating an `import-partition` snapshot document up to its
-    /// `end-snapshot` trailer.
-    Import(Vec<u8>),
+    /// Inside a `dsq-instance` document, which runs (header included) up
+    /// to its `end` line.
+    Document,
+    /// Inside an `import-partition` snapshot document, which runs (from
+    /// the line after the verb) through its `end-snapshot` trailer.
+    Import,
 }
 
 struct Conn {
@@ -121,7 +133,16 @@ struct Conn {
     fd: RawFd,
     token: usize,
     read_buf: Vec<u8>,
+    /// Start of the current request in `read_buf`. A document stays
+    /// there, unconsumed, until its trailer line arrives, and is then
+    /// handed on as a slice of `read_buf`.
     parse_pos: usize,
+    /// End of the current request's complete lines, relative to
+    /// `parse_pos`: the next line starts here.
+    line_start: usize,
+    /// How far past `parse_pos` the newline search has looked, so a
+    /// request split across reads resumes the search where it stopped.
+    scanned: usize,
     mode: ReadMode,
     /// Next request sequence number; every request gets one, in arrival
     /// order, and responses are released strictly in that order.
@@ -170,6 +191,38 @@ fn served(plan: &ServedPlan) -> Response {
     }
 }
 
+/// Whether `line` is the trailer `word`: its lossy UTF-8 text, trimmed,
+/// equals `word`. A line whose trimmed bytes start and end in ASCII is
+/// decided on its bytes; any other goes through the lossy text.
+fn is_line(line: &[u8], word: &str) -> bool {
+    let is_space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
+    let first = line.iter().position(|b| !is_space(b));
+    let last = line.iter().rposition(|b| !is_space(b));
+    match (first, last) {
+        (Some(first), Some(last)) if line[first].is_ascii() && line[last].is_ascii() => {
+            &line[first..=last] == word.as_bytes()
+        }
+        _ => String::from_utf8_lossy(line).trim() == word,
+    }
+}
+
+/// The index of the first `\n` in `bytes`, eight bytes at a time: a
+/// word is XORed with `\n` in every byte, and the zero-byte test marks
+/// (exactly, up to the first) where a newline was.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut i = 0;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let v = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ (ONES * 0x0A);
+        let marked = v.wrapping_sub(ONES) & !v & (ONES * 0x80);
+        if marked != 0 {
+            return Some(i + (marked.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    bytes[i..].iter().position(|&b| b == b'\n').map(|k| i + k)
+}
+
 impl Conn {
     fn new(stream: FaultyStream, token: usize) -> Conn {
         let fd = stream.raw_fd();
@@ -179,6 +232,8 @@ impl Conn {
             token,
             read_buf: Vec::new(),
             parse_pos: 0,
+            line_start: 0,
+            scanned: 0,
             mode: ReadMode::Line,
             next_seq: 0,
             pending: VecDeque::new(),
@@ -232,21 +287,54 @@ impl Conn {
         }
     }
 
-    /// Parses and processes every complete line buffered so far,
-    /// stopping at the pipelining cap (admission backpressure).
+    /// Processes every complete request buffered so far, stopping at
+    /// the pipelining cap (admission backpressure). A request whose bytes
+    /// pass its cap is refused as soon as they do, newline or not.
     fn parse(&mut self, inner: &Inner, job_tx: &SyncSender<Job>) {
         while !self.poisoned && !self.dead && !self.close_after_flush {
             if self.jobs_in_flight >= inner.max_pipeline {
                 break;
             }
-            let Some(offset) = self.read_buf[self.parse_pos..].iter().position(|&b| b == b'\n')
-            else {
-                break;
+            let line = self.next_line();
+            let (cap, what) = match self.mode {
+                ReadMode::Line | ReadMode::Document => (MAX_REQUEST_BYTES, "request"),
+                ReadMode::Import => (inner.max_import_bytes, "partition"),
             };
-            let end = self.parse_pos + offset + 1;
-            let line: Vec<u8> = self.read_buf[self.parse_pos..end].to_vec();
-            self.parse_pos = end;
-            self.process_line(&line, inner, job_tx);
+            if self.scanned > cap {
+                inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.push_ready(&Response::Error {
+                    message: format!("{what} exceeds {cap} bytes"),
+                });
+                // The stream position after an oversized request is
+                // unknowable: flush the error, close.
+                self.poisoned = true;
+                self.close_after_flush = true;
+                break;
+            }
+            let Some((start, end)) = line else { break };
+            let trailer = match self.mode {
+                ReadMode::Line => None,
+                ReadMode::Document => Some(REQUEST_END),
+                ReadMode::Import => Some("end-snapshot"),
+            };
+            if trailer.is_some_and(|word| !is_line(&self.read_buf[start..end], word)) {
+                continue;
+            }
+            // Requests are handled in place: `read_buf` is lent out for
+            // the call and put back.
+            let buf = std::mem::take(&mut self.read_buf);
+            match self.mode {
+                ReadMode::Line => self.process_verb(&buf[start..end], end, inner),
+                ReadMode::Document => {
+                    self.admit(&buf[self.parse_pos..start], inner, job_tx);
+                    self.consume(end);
+                }
+                ReadMode::Import => {
+                    self.finish_import(&buf[self.parse_pos..end], inner);
+                    self.consume(end);
+                }
+            }
+            self.read_buf = buf;
         }
         if self.parse_pos > 0 {
             self.read_buf.drain(..self.parse_pos);
@@ -254,77 +342,65 @@ impl Conn {
         }
     }
 
-    fn process_line(&mut self, line: &[u8], inner: &Inner, job_tx: &SyncSender<Job>) {
-        match std::mem::replace(&mut self.mode, ReadMode::Line) {
-            ReadMode::Line => {
-                let text = String::from_utf8_lossy(line);
-                let verb = text.trim();
-                if inner.debug_panic_verb.as_deref() == Some(verb) {
-                    // Test hook: a deterministic trigger for the
-                    // panic-isolation path.
-                    panic!("debug panic verb `{verb}` received");
-                }
-                match verb {
-                    "" => {} // blank keep-alive line
-                    "ping" => self.push_ready(&Response::Pong),
-                    METRICS_VERB => self.serve_metrics(inner),
-                    "shutdown" => {
-                        inner.request_shutdown();
-                        self.push_ready(&Response::Draining);
-                    }
-                    v if v.starts_with("export-partition") => self.serve_export(v, inner),
-                    v if v == IMPORT_PARTITION_VERB => self.mode = ReadMode::Import(Vec::new()),
-                    v if v.starts_with("dsq-instance") => {
-                        self.mode = ReadMode::Document(line.to_vec());
-                    }
-                    other => {
-                        inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        self.push_ready(&Response::Error {
-                            message: format!("unknown request `{other}`"),
-                        });
-                    }
-                }
+    /// The next complete line of the current request, as absolute
+    /// `read_buf` offsets, resuming the newline search where the last
+    /// call stopped. `scanned` then counts the request's bytes through
+    /// that line, or every buffered byte of it when no line ended.
+    fn next_line(&mut self) -> Option<(usize, usize)> {
+        let from = self.parse_pos + self.scanned;
+        match find_newline(&self.read_buf[from..]) {
+            Some(offset) => {
+                let start = self.parse_pos + self.line_start;
+                self.scanned += offset + 1;
+                self.line_start = self.scanned;
+                Some((start, self.parse_pos + self.scanned))
             }
-            ReadMode::Document(mut doc) => {
-                if String::from_utf8_lossy(line).trim() == REQUEST_END {
-                    self.admit(&doc, inner, job_tx);
-                } else {
-                    doc.extend_from_slice(line);
-                    if doc.len() > MAX_REQUEST_BYTES {
-                        inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        self.push_ready(&Response::Error {
-                            message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                        });
-                        // The stream position after an oversized
-                        // document is unknowable: flush the error, close.
-                        self.poisoned = true;
-                        self.close_after_flush = true;
-                    } else {
-                        self.mode = ReadMode::Document(doc);
-                    }
-                }
+            None => {
+                self.scanned = self.read_buf.len() - self.parse_pos;
+                None
             }
-            ReadMode::Import(mut doc) => {
-                // The cap is checked *before* extending, on every line —
-                // the trailer included — so a document can neither
-                // overshoot the cap by a line nor smuggle the overshoot
-                // in with `end-snapshot`.
-                if doc.len() + line.len() > inner.max_import_bytes {
-                    let cap = inner.max_import_bytes;
-                    inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.push_ready(&Response::Error {
-                        message: format!("partition exceeds {cap} bytes"),
-                    });
-                    self.poisoned = true;
-                    self.close_after_flush = true;
-                    return;
-                }
-                doc.extend_from_slice(line);
-                if String::from_utf8_lossy(line).trim() == "end-snapshot" {
-                    self.finish_import(&doc, inner);
-                } else {
-                    self.mode = ReadMode::Import(doc);
-                }
+        }
+    }
+
+    /// Ends the current request at `end` (absolute): the next one starts
+    /// there, between requests.
+    fn consume(&mut self, end: usize) {
+        self.parse_pos = end;
+        self.line_start = 0;
+        self.scanned = 0;
+        self.mode = ReadMode::Line;
+    }
+
+    /// Handles the verb `line`, which ends at `end`: answers an immediate
+    /// verb, or opens the document it heads.
+    fn process_verb(&mut self, line: &[u8], end: usize, inner: &Inner) {
+        let text = String::from_utf8_lossy(line);
+        let verb = text.trim();
+        if inner.debug_panic_verb.as_deref() == Some(verb) {
+            // Test hook: a deterministic trigger for the
+            // panic-isolation path.
+            panic!("debug panic verb `{verb}` received");
+        }
+        if verb.starts_with("dsq-instance") {
+            // The header is the document's first line: the request
+            // keeps its start.
+            self.mode = ReadMode::Document;
+            return;
+        }
+        self.consume(end);
+        match verb {
+            "" => {} // blank keep-alive line
+            "ping" => self.push_ready(&Response::Pong),
+            METRICS_VERB => self.serve_metrics(inner),
+            "shutdown" => {
+                inner.request_shutdown();
+                self.push_ready(&Response::Draining);
+            }
+            v if v.starts_with("export-partition") => self.serve_export(v, inner),
+            v if v == IMPORT_PARTITION_VERB => self.mode = ReadMode::Import,
+            other => {
+                inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.push_ready(&Response::Error { message: format!("unknown request `{other}`") });
             }
         }
     }

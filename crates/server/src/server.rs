@@ -23,8 +23,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Requests larger than this are rejected and the connection closed (the
-/// stream position after an oversized document is unknowable).
+/// Requests larger than this — a verb line, or a document from its
+/// header through its `end` line — are rejected as soon as their
+/// buffered bytes pass it, newline or not, and the connection closed (the
+/// stream position after an oversized request is unknowable).
 pub(crate) const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Default size cap on an `import-partition` snapshot document — more
@@ -84,8 +86,9 @@ pub struct ServerConfig {
     /// pipelining depth). A connection at the cap stops being read until
     /// a response frees a slot — backpressure, not an error.
     pub max_pipeline: usize,
-    /// Size cap on an `import-partition` snapshot document, checked
-    /// before every appended line (the trailer included).
+    /// Size cap on an `import-partition` snapshot document, trailer
+    /// included, checked against its buffered bytes whether or not a
+    /// line has ended.
     pub max_import_bytes: usize,
     /// Test hook: a request verb that makes the connection handler
     /// panic, exercising the reactor's panic isolation

@@ -472,6 +472,121 @@ fn import_cap_applies_before_every_line_including_the_trailer() {
     assert_eq!(stats.protocol_errors, 2);
 }
 
+/// Regression: the reactor buffered input without limit, and checked
+/// the request cap only once a line ended, so a peer that never sent a
+/// newline grew the daemon's memory for as long as it kept sending. Now
+/// a request is refused once its buffered bytes pass the cap, newline or
+/// not: a verb line, a document and an import partition, each one byte
+/// over its cap and never terminated.
+#[test]
+fn unterminated_requests_are_refused_at_the_cap() {
+    const MAX_REQUEST_BYTES: usize = 1 << 20;
+    let config = ServerConfig { max_import_bytes: 80, ..ServerConfig::default() };
+    let server = Server::start(&tcp(), &config).expect("start");
+    let refused = |head: &str, request_bytes: usize, expected: &str| {
+        let mut socket = raw_connect(server.listen_addr());
+        // A daemon that waits for the newline would hang the test.
+        socket.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut request = format!("ping\n{head}").into_bytes();
+        request.resize(request.len() + request_bytes - head.len(), b'x');
+        socket.write_all(&request).expect("write");
+        let mut reader = BufReader::new(socket);
+        let replies = read_lines(&mut reader, 2);
+        assert_eq!(String::from_utf8(replies).expect("utf-8"), format!("ok pong\n{expected}"));
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).expect("closed"), 0, "the framing is lost: close");
+    };
+    refused("", MAX_REQUEST_BYTES + 1, "error request exceeds 1048576 bytes\n");
+    refused(
+        "dsq-instance v1\nname ",
+        MAX_REQUEST_BYTES + 1,
+        "error request exceeds 1048576 bytes\n",
+    );
+    // The import cap counts from the line after the verb.
+    refused(
+        "import-partition\n",
+        "import-partition\n".len() + 81,
+        "error partition exceeds 80 bytes\n",
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 3);
+}
+
+/// Wire framing survives arbitrary segmentation. One pipelined window
+/// holds a hit, a miss, a malformed document (with a body line that
+/// starts like the trailer), `ping`, and a CRLF document whose `end`
+/// line is padded with whitespace. It is sent whole, then cut in two at
+/// every byte offset, then one byte per write; every exchange starts
+/// from the same cache, and the replies are byte-identical each time.
+#[test]
+fn wire_framing_survives_arbitrary_segmentation() {
+    let hit = generate(Family::Clustered, 4, 1400);
+    let miss = generate(Family::Clustered, 4, 1401);
+    let seeded = PlanCache::new(ServerConfig::default().cache);
+    seeded.serve(&hit, &BnbConfig::paper());
+    let partition = seeded.snapshot();
+    let document =
+        |instance: &QueryInstance| format!("{}end\n", dsq_core::format_instance(instance));
+    let crlf = dsq_core::format_instance(&hit).replace('\n', "\r\n") + "\t end \r\n";
+    let window = [
+        document(&hit),
+        document(&miss),
+        "dsq-instance v1\nn 2\nendless 1\nend\n".to_string(),
+        "ping\n".to_string(),
+        crlf,
+    ]
+    .concat();
+    let window = window.as_bytes();
+
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
+    let mut control = Client::connect(server.listen_addr()).expect("connect");
+    // `keep == backends.len()` is the drain form: it exports every entry.
+    let drain = ExportRequest { vnodes: 1, keep: 1, backends: vec!["elsewhere".to_string()] };
+    let mut exchanges = 0u64;
+    let mut exchange = |cuts: &mut dyn Iterator<Item = usize>| {
+        control.export_partition(&drain).expect("empty the cache");
+        assert_eq!(control.import_partition(&partition).expect("import the hit"), 1);
+        let mut socket = raw_connect(server.listen_addr());
+        socket.set_nodelay(true).expect("nodelay");
+        socket.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut reader = BufReader::new(socket.try_clone().expect("clone socket"));
+        let mut from = 0;
+        for cut in cuts.chain([window.len()]) {
+            socket.write_all(&window[from..cut]).expect("write a segment");
+            from = cut;
+        }
+        exchanges += 1;
+        read_lines(&mut reader, 5)
+    };
+
+    let whole = exchange(&mut std::iter::empty());
+    let text = String::from_utf8(whole.clone()).expect("utf-8 replies");
+    let lines: Vec<&str> = text.lines().collect();
+    let sources: Vec<_> = [0, 1, 4]
+        .iter()
+        .map(|&i| match Response::parse(lines[i]).expect("a response line") {
+            Response::Served { source, .. } => source,
+            other => panic!("reply {i}: expected served, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(sources, [ServeSource::CacheHit, ServeSource::Cold, ServeSource::CacheHit]);
+    assert_eq!(lines[2], "error cannot parse instance: line 3: unknown keyword `endless`");
+    assert_eq!(lines[3], "ok pong");
+    assert_eq!(lines[0], lines[4], "the CRLF copy is the same request");
+
+    for cut in 1..window.len() {
+        let replies = exchange(&mut std::iter::once(cut));
+        assert!(replies == whole, "cut at byte {cut}: {}", String::from_utf8_lossy(&replies));
+    }
+    let replies = exchange(&mut (1..window.len()));
+    assert!(replies == whole, "one byte per write: {}", String::from_utf8_lossy(&replies));
+
+    drop(control);
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, exchanges);
+    assert_eq!((stats.cache.hits, stats.cache.misses), (2 * exchanges, exchanges));
+}
+
 /// A `--tiered` daemon answers a key's first miss at tier 1, and every
 /// duplicate pipelined behind it waits for the key's refinement (on the
 /// worker, or as a reactor hit once it landed) and gets the exact plan.
