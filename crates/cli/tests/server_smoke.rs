@@ -1,8 +1,9 @@
 //! Spawned-binary smoke of the daemon: `dsq serve` on a Unix socket
 //! driven by `dsq client`, covering the hit-rate summary, snapshot
-//! persistence across processes, and both graceful-shutdown paths
-//! (protocol verb and stdin EOF). The same choreography runs in CI via
-//! `scripts/server_smoke.sh`.
+//! persistence across processes, the snapshot lock across processes
+//! (a second daemon refused, a SIGKILLed one's path taken over), and
+//! both graceful-shutdown paths (protocol verb and stdin EOF). The same
+//! choreography runs in CI via `scripts/server_smoke.sh`.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -22,7 +23,7 @@ fn dsq(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-fn spawn_server(sock: &Path, snapshot: &Path) -> Child {
+fn spawn_server(sock: &Path, snapshot: &Path, extra: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_dsq"))
         .args([
             "serve",
@@ -33,6 +34,7 @@ fn spawn_server(sock: &Path, snapshot: &Path) -> Child {
             "--snapshot",
             snapshot.to_str().expect("utf8"),
         ])
+        .args(extra)
         .stdin(Stdio::piped()) // held open; closing it drains the server
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -96,7 +98,7 @@ fn serve_and_client_round_trip_with_persistence() {
     let query_arg = query.to_str().expect("utf8").to_string();
 
     // First server: cold, then a repeat hit; drained by `client shutdown`.
-    let server = spawn_server(&sock, &snapshot);
+    let server = spawn_server(&sock, &snapshot, &[]);
     wait_for_socket(&sock);
 
     let (ok, out, stderr) = dsq(&["client", "--unix", &sock_arg, "ping"]);
@@ -135,7 +137,7 @@ fn serve_and_client_round_trip_with_persistence() {
 
     // Second server: warm restart from the snapshot; drained by stdin
     // EOF this time.
-    let mut server = spawn_server(&sock, &snapshot);
+    let mut server = spawn_server(&sock, &snapshot, &[]);
     wait_for_socket(&sock);
     let (ok, out, stderr) = dsq(&["client", "--unix", &sock_arg, "optimize", &query_arg]);
     assert!(ok, "warm optimize failed: {stderr}");
@@ -153,5 +155,70 @@ fn serve_and_client_round_trip_with_persistence() {
     assert!(stdout.contains("restored 1 cached plans from snapshot"), "{stdout}");
     assert!(stdout.contains("drained cleanly"), "{stdout}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value of `counter NAME` in the daemon's `metrics` scrape.
+fn counter(sock: &str, name: &str) -> u64 {
+    let (ok, out, stderr) = dsq(&["client", "--unix", sock, "metrics"]);
+    assert!(ok, "metrics failed: {stderr}");
+    let prefix = format!("counter {name} ");
+    out.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` counter in:\n{out}"))
+}
+
+/// The snapshot lock across processes: a second daemon on the path is
+/// refused and names the first one's pid; after the first is killed
+/// with SIGKILL (no drain, nothing cleaned up), a new daemon takes the
+/// path over and restores the last periodic snapshot.
+#[test]
+fn snapshot_lock_refuses_a_second_daemon_and_outlives_a_sigkill() {
+    let dir = temp_dir("lock");
+    let (sock, next_sock) = (dir.join("first.sock"), dir.join("next.sock"));
+    let sock_arg = sock.to_str().expect("utf8").to_string();
+    let next_arg = next_sock.to_str().expect("utf8").to_string();
+    let snapshot = dir.join("plans.dsqc");
+    let query = dir.join("q.dsq");
+    let (ok, text, stderr) = dsq(&["generate", "--family", "clustered", "-n", "7", "--seed", "5"]);
+    assert!(ok, "generate failed: {stderr}");
+    std::fs::write(&query, text).expect("write query");
+    let query_arg = query.to_str().expect("utf8").to_string();
+
+    let mut first = spawn_server(&sock, &snapshot, &["--snapshot-interval-secs", "1"]);
+    wait_for_socket(&sock);
+    // Its stdin closes at once: a daemon that wrongly starts drains and
+    // exits instead of hanging the test.
+    let mut second = spawn_server(&next_sock, &snapshot, &[]);
+    drop(second.stdin.take());
+    let output = second.wait_with_output().expect("second daemon exits");
+    let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+    assert!(!output.status.success(), "a daemon on a locked snapshot path must refuse to start");
+    assert!(stderr.contains(&format!("locked by live process {}", first.id())), "{stderr}");
+
+    // One cold request, then a periodic snapshot that holds its plan.
+    let (ok, out, stderr) = dsq(&["client", "--unix", &sock_arg, "optimize", &query_arg]);
+    assert!(ok, "optimize failed: {stderr}");
+    assert_eq!(out.split_whitespace().nth(1), Some("cold"), "{out}");
+    let written = counter(&sock_arg, "server.snapshots.written");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while counter(&sock_arg, "server.snapshots.written") == written {
+        assert!(Instant::now() < deadline, "no periodic snapshot within 30 s");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    first.kill().expect("SIGKILL the first daemon");
+    first.wait().expect("reap the first daemon");
+
+    let mut next = spawn_server(&next_sock, &snapshot, &[]);
+    wait_for_socket(&next_sock);
+    let (ok, out, stderr) = dsq(&["client", "--unix", &next_arg, "optimize", &query_arg]);
+    assert!(ok, "optimize after restart failed: {stderr}");
+    assert_eq!(out.split_whitespace().nth(1), Some("hit"), "restart must answer warm: {out}");
+    drop(next.stdin.take());
+    let output = next.wait_with_output().expect("restarted daemon exits on stdin EOF");
+    assert!(output.status.success(), "restarted daemon exit: {output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert!(stdout.contains("restored 1 cached plans from snapshot"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

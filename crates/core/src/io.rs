@@ -302,6 +302,12 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
         line,
         reason: reason.to_string(),
     };
+    // A `service` line takes at least 13 bytes (`service 0 0 0`), so a
+    // text this long declares fewer than `declarable` services, and under
+    // a larger `n` its first undeclared index lies below `declarable`.
+    // Slots stop there: the tables are bounded by the text, not by the
+    // `n` it declares.
+    let declarable = text.len() / 8 + 1;
 
     for (lineno, line) in lines {
         let mut fields = Fields::new(line);
@@ -320,8 +326,8 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                     .and_then(|f| f.parse().ok())
                     .ok_or_else(|| malformed(lineno, "n requires a positive integer"))?;
                 n = Some(v);
-                services.resize(v, None);
-                rows.resize(v, None);
+                services.resize(v.min(declarable), None);
+                rows.resize(v.min(declarable), None);
             }
             "service" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `service`"))?;
@@ -349,7 +355,9 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                     }
                     service = service.with_name(label);
                 }
-                services[idx] = Some(service);
+                if let Some(slot) = services.get_mut(idx) {
+                    *slot = Some(service);
+                }
             }
             "row" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `row`"))?;
@@ -369,11 +377,13 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                 if values.len() - offset != count {
                     return Err(malformed(lineno, "row width must equal n"));
                 }
-                rows[idx] = Some((offset, count));
+                if let Some(slot) = rows.get_mut(idx) {
+                    *slot = Some((offset, count));
+                }
             }
             "sink" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `sink`"))?;
-                let mut values = Vec::with_capacity(count);
+                let mut values = Vec::with_capacity(count.min(text.len() / 2));
                 push_values(fields, &mut values)
                     .map_err(|()| malformed(lineno, "bad sink cost"))?;
                 if values.len() != count {
@@ -399,26 +409,28 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     }
 
     let count = n.ok_or(ParseInstanceError::MissingSection("n"))?;
+    // The first undeclared index is the first empty slot, or else the
+    // first index past the slots.
+    let undeclared = |what: &str, i: usize| ParseInstanceError::Malformed {
+        line: 0,
+        reason: format!("{what} {i} was never declared"),
+    };
     let services: Vec<Service> = services
         .into_iter()
         .enumerate()
-        .map(|(i, s)| {
-            s.ok_or_else(|| ParseInstanceError::Malformed {
-                line: 0,
-                reason: format!("service {i} was never declared"),
-            })
-        })
+        .map(|(i, s)| s.ok_or_else(|| undeclared("service", i)))
         .collect::<Result<_, _>>()?;
+    if services.len() < count {
+        return Err(undeclared("service", services.len()));
+    }
     let rows: Vec<(usize, usize)> = rows
         .into_iter()
         .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| ParseInstanceError::Malformed {
-                line: 0,
-                reason: format!("row {i} was never declared"),
-            })
-        })
+        .map(|(i, r)| r.ok_or_else(|| undeclared("row", i)))
         .collect::<Result<_, _>>()?;
+    if rows.len() < count {
+        return Err(undeclared("row", rows.len()));
+    }
     // Rows that arrived once each, in index order, at the final width
     // already are the row-major matrix. Any other arrangement (shuffled,
     // repeated, or declared before `n` changed, which may also leave
@@ -527,6 +539,23 @@ mod tests {
         ));
         let text = "dsq-instance v1\nname x\n";
         assert_eq!(parse_instance(text), Err(ParseInstanceError::MissingSection("n")));
+    }
+
+    /// A declared `n` sizes nothing past what the text could declare:
+    /// a billion services cost a 26-byte text no more than two do, and
+    /// the errors are the ones a small `n` gives.
+    #[test]
+    fn a_huge_n_fails_like_a_small_one() {
+        let undeclared =
+            |reason: &str| ParseInstanceError::Malformed { line: 0, reason: reason.into() };
+        let huge = "dsq-instance v1\nn 1000000000\n";
+        assert_eq!(parse_instance(huge), Err(undeclared("service 0 was never declared")));
+        let sparse = format!("{huge}service 0 1 1\nservice 999999999 1 1\n");
+        assert_eq!(parse_instance(&sparse), Err(undeclared("service 1 was never declared")));
+        assert!(matches!(
+            parse_instance(&format!("{huge}sink 0\n")),
+            Err(ParseInstanceError::Malformed { line: 3, reason }) if reason.contains("sink width")
+        ));
     }
 
     #[test]

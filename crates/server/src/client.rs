@@ -208,12 +208,7 @@ impl Client {
     /// I/O errors, or `InvalidData` for an unparseable response line.
     pub fn optimize_text(&mut self, instance_text: &str) -> io::Result<Response> {
         let mut request = String::with_capacity(instance_text.len() + 8);
-        request.push_str(instance_text);
-        if !request.ends_with('\n') {
-            request.push('\n');
-        }
-        request.push_str(REQUEST_END);
-        request.push('\n');
+        PipelineRequest::Optimize(instance_text.to_owned()).render(&mut request);
         self.round_trip(&request)
     }
 

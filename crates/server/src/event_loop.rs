@@ -62,10 +62,11 @@ use crate::net::{FaultyStream, Listener};
 use crate::protocol::{
     ExportRequest, Response, IMPORT_PARTITION_VERB, METRICS_END, METRICS_VERB, REQUEST_END,
 };
-use crate::server::{load_aware_retry_ms, Completion, Inner, Job, MAX_REQUEST_BYTES};
+use crate::server::{
+    load_aware_retry_ms, Completion, Inner, Job, MAX_IMPORT_BYTES, MAX_REQUEST_BYTES,
+};
 use dsq_core::{parse_instance, PlanSnapshot};
 use dsq_service::{FleetConfig, HashRing, Probe, ServedPlan};
-use dsq_telemetry::{log::Level, log_event, Stopwatch};
 use reactor::{Events, Interest, Poll, Token};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -113,7 +114,7 @@ struct Slot {
     /// Started when the payload lands (inline verb or worker
     /// completion); retired into the flush-stage histogram once the
     /// response's last byte reaches the socket.
-    ready_at: Option<Stopwatch>,
+    ready_at: Option<Instant>,
 }
 
 /// What the connection's framing layer is in the middle of reading.
@@ -163,7 +164,7 @@ struct Conn {
     /// Flush-stage timers awaiting delivery: `(watermark, started when
     /// the response became ready)` — retired like `exports`, by the
     /// flushed-bytes watermark passing them.
-    pending_flush: Vec<(u64, Stopwatch)>,
+    pending_flush: Vec<(u64, Instant)>,
     read_closed: bool,
     close_after_flush: bool,
     /// Framing is lost (oversized document mid-stream): stop parsing,
@@ -255,7 +256,7 @@ impl Conn {
     fn push_slot(&mut self, payload: Option<Vec<u8>>, rollback: Option<PlanSnapshot>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ready_at = payload.is_some().then(Stopwatch::start);
+        let ready_at = payload.is_some().then(Instant::now);
         self.pending.push_back(Slot { seq, payload, rollback, ready_at });
         seq
     }
@@ -298,7 +299,7 @@ impl Conn {
             let line = self.next_line();
             let (cap, what) = match self.mode {
                 ReadMode::Line | ReadMode::Document => (MAX_REQUEST_BYTES, "request"),
-                ReadMode::Import => (inner.max_import_bytes, "partition"),
+                ReadMode::Import => (MAX_IMPORT_BYTES, "partition"),
             };
             if self.scanned > cap {
                 inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -417,23 +418,23 @@ impl Conn {
         let Ok(text) = std::str::from_utf8(document) else {
             return protocol_error(self, "instance text is not valid UTF-8".into());
         };
-        let parse_timer = Stopwatch::start();
+        let parse_started = Instant::now();
         let instance = match parse_instance(text) {
             Ok(instance) => instance,
             Err(e) => return protocol_error(self, format!("cannot parse instance: {e}")),
         };
-        parse_timer.observe(&inner.metrics.parse_ns);
-        let plan_timer = Stopwatch::start();
+        inner.metrics.parse_ns.record_duration(parse_started.elapsed());
+        let plan_started = Instant::now();
         let pending = match inner.cache.probe(&instance) {
             Probe::Hit(hit) => {
-                plan_timer.observe(&inner.metrics.plan_ns);
+                inner.metrics.plan_ns.record_duration(plan_started.elapsed());
                 self.push_ready(&served(&hit));
                 self.count_admission(inner);
                 return;
             }
             Probe::Pending(pending) => pending,
         };
-        let probe_ns = plan_timer.elapsed_nanos();
+        let probe = plan_started.elapsed();
         // Increment *before* `try_send`: a worker that finishes the job
         // fast always observes the increment first, so the gauge cannot
         // underflow; the `Full`/`Disconnected` paths roll it back.
@@ -441,10 +442,10 @@ impl Conn {
         let job = Job {
             instance,
             pending,
-            probe_ns,
+            probe,
             conn: self.token as u64,
             seq: self.next_seq,
-            admitted_at: Stopwatch::start(),
+            admitted_at: Instant::now(),
         };
         match job_tx.try_send(job) {
             Ok(()) => {
@@ -549,7 +550,7 @@ impl Conn {
         };
         if let Some(slot) = self.pending.iter_mut().find(|s| s.seq == completion.seq) {
             slot.payload = Some(render(&response));
-            slot.ready_at = Some(Stopwatch::start());
+            slot.ready_at = Some(Instant::now());
         }
     }
 
@@ -605,7 +606,7 @@ impl Conn {
             if *watermark > flushed {
                 return true;
             }
-            ready_at.observe(&inner.metrics.flush_ns);
+            inner.metrics.flush_ns.record_duration(ready_at.elapsed());
             false
         });
     }
@@ -664,10 +665,8 @@ fn teardown(conn: Conn, inner: &Inner, poll: &Poll) {
                 // The rollback itself failing loses the partition: say
                 // so instead of silently dropping the entries.
                 inner.export_rollback_errors.fetch_add(1, Ordering::Relaxed);
-                log_event!(
-                    Level::Error,
-                    "reactor",
-                    "failed to restore {} undelivered exported entries: {e}",
+                eprintln!(
+                    "dsq-server: failed to restore {} undelivered exported entries: {e}",
                     snapshot.entries.len()
                 );
             }
@@ -784,11 +783,7 @@ pub(crate) fn run(listener: Listener, poll: Poll, inner: &Inner, job_tx: &SyncSe
             }));
             if outcome.is_err() {
                 inner.connection_panics.fetch_add(1, Ordering::Relaxed);
-                log_event!(
-                    Level::Error,
-                    "reactor",
-                    "connection handler panicked; closing the connection"
-                );
+                eprintln!("dsq-server: connection handler panicked; closing the connection");
                 teardown(conn, inner, &poll);
                 continue;
             }

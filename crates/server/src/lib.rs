@@ -29,7 +29,8 @@
 //!   embedder signal — drains in-flight requests and writes a final
 //!   snapshot. A restarted server answers at its pre-restart hit rate
 //!   instead of cold. The snapshot path is guarded by an advisory
-//!   [`SnapshotLock`] PID file, so two live servers cannot
+//!   [`SnapshotLock`] (`flock` on `<snapshot>.lock`, released by the
+//!   kernel however the holder exits), so two live servers cannot
 //!   last-writer-wins each other's snapshots.
 //!
 //! The serve path itself is the cache's `dsq_service::PlanCache::probe`

@@ -1,13 +1,11 @@
-//! An advisory PID lock guarding a snapshot file against the
+//! An advisory lock guarding a snapshot file against the
 //! last-writer-wins hazard: two live processes pointed at the same
 //! `--snapshot` / `--snapshot-out` path would silently overwrite each
 //! other's atomic renames, so whoever persists to a snapshot path first
-//! takes `<path>.lock` and everyone else refuses to start.
+//! locks `<path>.lock` and everyone else refuses to start.
 
-use dsq_telemetry::log::Level;
-use dsq_telemetry::log_event;
-use std::fmt;
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Lock-file path guarding `snapshot`: the snapshot path with `.lock`
@@ -17,33 +15,19 @@ pub fn lock_path(snapshot: &Path) -> PathBuf {
     PathBuf::from(format!("{}.lock", snapshot.display()))
 }
 
-/// A held snapshot lock; dropping it releases the lock file.
+/// A held snapshot lock; dropping it releases the lock.
 ///
 /// The lock is **advisory** (nothing stops a process that does not
-/// check it) and PID-based: the file holds the owner's PID, and a lock
-/// whose owner is no longer alive (`/proc/<pid>` gone — a crashed
-/// server) is stale and taken over (with a `DSQ_LOG`-gated warning
-/// naming the dead holder's pid), so an unclean shutdown never wedges
-/// the snapshot path.
+/// check it): an exclusive [`File::try_lock`] (`flock` on Linux) on
+/// `<snapshot>.lock`, held by keeping the file open. The kernel releases
+/// it when the holder closes the file or exits, however it exits, so a
+/// crashed server never wedges the snapshot path. The file itself stays
+/// behind, holding the last holder's pid, which a refused acquire
+/// names: unlinking it would let a process that had already opened it
+/// lock an inode no longer at the path while another locks a new one.
+#[derive(Debug)]
 pub struct SnapshotLock {
-    path: PathBuf,
-}
-
-impl fmt::Debug for SnapshotLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotLock").field("path", &self.path).finish()
-    }
-}
-
-fn pid_is_alive(pid: u32) -> bool {
-    if !Path::new("/proc").exists() {
-        // No procfs (non-Linux Unix): liveness cannot be probed, so err
-        // on the safe side — treat every holder as alive and leave
-        // genuinely stale locks to the operator, rather than stealing a
-        // live one and resurrecting the last-writer-wins hazard.
-        return true;
-    }
-    Path::new(&format!("/proc/{pid}")).exists()
+    _file: File,
 }
 
 impl SnapshotLock {
@@ -51,94 +35,36 @@ impl SnapshotLock {
     ///
     /// # Errors
     ///
-    /// `AddrInUse` naming the holder when a **live** process owns the
-    /// lock (a holder that is this process counts: two servers in one
-    /// process must not share a snapshot path either); other I/O errors
-    /// from creating or stealing the lock file.
+    /// `AddrInUse` naming the holder's pid while any open file holds the
+    /// lock (a holder in this process counts: two servers in one process
+    /// must not share a snapshot path either); other I/O errors from
+    /// opening, locking or writing the lock file.
     pub fn acquire(snapshot: &Path) -> io::Result<SnapshotLock> {
         let path = lock_path(snapshot);
-        // One retry: the first pass may find and steal a stale lock,
-        // the second recreates it. Losing a *race* on the recreate means
-        // another live process took it, which the second pass reports.
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    writeln!(file, "{}", std::process::id())?;
-                    return Ok(SnapshotLock { path });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    Self::steal_if_stale(snapshot, &path)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(io::Error::new(
-            io::ErrorKind::AddrInUse,
-            format!("snapshot {} lock was taken while stealing a stale one", snapshot.display()),
-        ))
-    }
-
-    /// Removes the lock file at `path` iff its holder is dead, refusing
-    /// with `AddrInUse` for a live holder. Plain unlink-after-read would
-    /// race two stealers into deleting each other's *fresh* locks, so
-    /// the existing file is first **renamed aside** (atomic — exactly
-    /// one racer wins; the losers see `NotFound` and retry the create)
-    /// and only then inspected: if the rename grabbed a live lock after
-    /// all (the holder recreated it inside our race window), it is
-    /// linked back into place before refusing.
-    fn steal_if_stale(snapshot: &Path, path: &Path) -> io::Result<()> {
-        let aside = PathBuf::from(format!("{}.steal.{}", path.display(), std::process::id()));
-        match std::fs::rename(path, &aside) {
+        // Never truncate before the lock is ours: the pid in the file is
+        // the holder's until then.
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
+        match file.try_lock() {
             Ok(()) => {}
-            // Another racer renamed it first; let the caller's retry
-            // find whatever lock exists now.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        }
-        let holder =
-            std::fs::read_to_string(&aside).ok().and_then(|text| text.trim().parse::<u32>().ok());
-        if let Some(pid) = holder {
-            if pid_is_alive(pid) {
-                // `hard_link` restores without clobbering a lock someone
-                // created meanwhile (it fails on an existing target).
-                let _ = std::fs::hard_link(&aside, path);
-                let _ = std::fs::remove_file(&aside);
+            Err(TryLockError::WouldBlock) => {
+                let mut holder = String::new();
+                file.read_to_string(&mut holder)?;
                 return Err(io::Error::new(
                     io::ErrorKind::AddrInUse,
                     format!(
-                        "snapshot {} is locked by live process {pid} (lock file {})",
+                        "snapshot {} is locked by live process {} (lock file {})",
                         snapshot.display(),
+                        holder.trim(),
                         path.display()
                     ),
                 ));
             }
+            Err(TryLockError::Error(e)) => return Err(e),
         }
-        // Dead holder or unreadable content: a stale lock from an
-        // unclean shutdown. Discard it — but say so: a steal is an
-        // operator-visible event (it implies an unclean shutdown
-        // happened), and the stale pid is the breadcrumb for finding
-        // which process died.
-        match holder {
-            Some(pid) => log_event!(
-                Level::Warn,
-                "snapshot",
-                "stealing stale snapshot lock {} (holder pid {pid} is dead)",
-                path.display()
-            ),
-            None => log_event!(
-                Level::Warn,
-                "snapshot",
-                "stealing stale snapshot lock {} (unreadable holder pid)",
-                path.display()
-            ),
-        }
-        std::fs::remove_file(&aside)
-    }
-}
-
-impl Drop for SnapshotLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        file.set_len(0)?;
+        writeln!(file, "{}", std::process::id())?;
+        Ok(SnapshotLock { _file: file })
     }
 }
 
@@ -154,19 +80,18 @@ mod tests {
     fn acquire_release_roundtrip() {
         let snapshot = temp_snapshot("roundtrip");
         let lock = SnapshotLock::acquire(&snapshot).expect("free path locks");
-        assert!(lock_path(&snapshot).exists());
         let content = std::fs::read_to_string(lock_path(&snapshot)).expect("lock readable");
         assert_eq!(content.trim(), std::process::id().to_string());
         drop(lock);
-        assert!(!lock_path(&snapshot).exists(), "drop releases the lock");
-        // Re-acquirable after release.
+        // Dropping released the lock: the path locks again.
         drop(SnapshotLock::acquire(&snapshot).expect("released path relocks"));
+        std::fs::remove_file(lock_path(&snapshot)).ok();
     }
 
     #[test]
     fn live_holder_refuses_second_acquire() {
         let snapshot = temp_snapshot("live");
-        let _held = SnapshotLock::acquire(&snapshot).expect("locks");
+        let held = SnapshotLock::acquire(&snapshot).expect("locks");
         let err = SnapshotLock::acquire(&snapshot).expect_err("held lock refuses");
         assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
         let message = err.to_string();
@@ -174,26 +99,23 @@ mod tests {
             message.contains(&format!("locked by live process {}", std::process::id())),
             "{message}"
         );
+        drop(held);
+        std::fs::remove_file(lock_path(&snapshot)).ok();
     }
 
+    /// A lock file left behind with no holder (a crashed server's pid,
+    /// or anything else) is no lock at all: it is acquired and rewritten.
     #[test]
     fn stale_locks_are_stolen() {
-        let snapshot = temp_snapshot("stale");
-        let lock_file = lock_path(&snapshot);
-        // A PID far above any live one (kernel pid_max caps near 4M) —
-        // the holder is certainly dead.
-        std::fs::write(&lock_file, "999999999\n").expect("plant stale lock");
-        let lock = SnapshotLock::acquire(&snapshot).expect("stale lock is stolen");
-        let content = std::fs::read_to_string(&lock_file).expect("lock readable");
-        assert_eq!(content.trim(), std::process::id().to_string(), "lock now ours");
-        drop(lock);
-    }
-
-    #[test]
-    fn unreadable_locks_count_as_stale() {
-        let snapshot = temp_snapshot("garbage");
-        std::fs::write(lock_path(&snapshot), "not a pid\n").expect("plant garbage lock");
-        drop(SnapshotLock::acquire(&snapshot).expect("garbage lock is stolen"));
-        assert!(!lock_path(&snapshot).exists());
+        for (tag, leftover) in [("dead", "999999999\n"), ("garbage", "not a pid, and longer\n")] {
+            let snapshot = temp_snapshot(tag);
+            let lock_file = lock_path(&snapshot);
+            std::fs::write(&lock_file, leftover).expect("plant leftover lock file");
+            let lock = SnapshotLock::acquire(&snapshot).expect("a leftover lock file is acquired");
+            let content = std::fs::read_to_string(&lock_file).expect("lock readable");
+            assert_eq!(content, format!("{}\n", std::process::id()), "lock now ours");
+            drop(lock);
+            std::fs::remove_file(&lock_file).ok();
+        }
     }
 }

@@ -11,17 +11,16 @@ use dsq_service::{
     CacheConfig, CacheStats, PendingServe, PlanCache, PlanError, ServedPlan, TieredPlanner,
     TieredStats,
 };
-use dsq_telemetry::Stopwatch;
 use std::fmt;
 use std::io;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Requests larger than this — a verb line, or a document from its
 /// header through its `end` line — are rejected as soon as their
@@ -29,12 +28,12 @@ use std::time::Duration;
 /// stream position after an oversized request is unknowable).
 pub(crate) const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// Default size cap on an `import-partition` snapshot document — more
-/// generous than [`MAX_REQUEST_BYTES`]: a partition carries one instance
-/// text per entry, and a handoff from a large cache legitimately
-/// outweighs any single optimize request. Configurable per server via
-/// [`ServerConfig::max_import_bytes`].
-const DEFAULT_MAX_IMPORT_BYTES: usize = 8 << 20;
+/// Size cap on an `import-partition` snapshot document, trailer
+/// included, checked against its buffered bytes whether or not a line
+/// has ended. More generous than [`MAX_REQUEST_BYTES`]: a partition
+/// carries one instance text per entry, and a handoff from a large cache
+/// legitimately outweighs any single optimize request.
+pub(crate) const MAX_IMPORT_BYTES: usize = 8 << 20;
 
 /// Default cap on admitted-but-unanswered requests per connection (see
 /// [`ServerConfig::max_pipeline`]).
@@ -86,10 +85,6 @@ pub struct ServerConfig {
     /// pipelining depth). A connection at the cap stops being read until
     /// a response frees a slot — backpressure, not an error.
     pub max_pipeline: usize,
-    /// Size cap on an `import-partition` snapshot document, trailer
-    /// included, checked against its buffered bytes whether or not a
-    /// line has ended.
-    pub max_import_bytes: usize,
     /// Test hook: a request verb that makes the connection handler
     /// panic, exercising the reactor's panic isolation
     /// (`ServerStats::connection_panics`) deterministically. `None`
@@ -117,7 +112,6 @@ impl Default for ServerConfig {
             tiered: false,
             chaos: None,
             max_pipeline: DEFAULT_MAX_PIPELINE,
-            max_import_bytes: DEFAULT_MAX_IMPORT_BYTES,
             debug_panic_verb: None,
         }
     }
@@ -271,12 +265,12 @@ pub(crate) struct Job {
     pub(crate) pending: PendingServe,
     /// The reactor's probe time; the worker adds its own to record the
     /// request's one plan-stage sample.
-    pub(crate) probe_ns: u64,
+    pub(crate) probe: Duration,
     pub(crate) conn: u64,
     pub(crate) seq: u64,
     /// Started at admission; read at worker dequeue — the queue-wait
     /// stage of the request's latency decomposition.
-    pub(crate) admitted_at: Stopwatch,
+    pub(crate) admitted_at: Instant,
 }
 
 /// A finished job on its way back from a worker to the reactor (over
@@ -300,7 +294,6 @@ pub(crate) struct Inner {
     pub(crate) retry_after_ms: u64,
     pub(crate) queue_capacity: usize,
     pub(crate) max_pipeline: usize,
-    pub(crate) max_import_bytes: usize,
     pub(crate) debug_panic_verb: Option<String>,
     /// This server's private telemetry: stage histograms recorded by
     /// the reactor and workers, scraped by the `metrics` verb. Private
@@ -322,8 +315,7 @@ pub(crate) struct Inner {
     /// Wakes the reactor's poll from worker threads (and from
     /// [`Server::shutdown`]).
     pub(crate) waker: reactor::Waker,
-    /// Hard-stop flag: the reactor begins its drain, and the snapshot
-    /// thread exits, at the next wakeup.
+    /// Hard-stop flag: the reactor begins its drain at the next wakeup.
     pub(crate) shutdown: AtomicBool,
     /// Soft signal set by the protocol `shutdown` verb (or the embedder):
     /// observable via [`Server::wait_shutdown_requested`], it does not by
@@ -372,7 +364,7 @@ impl Inner {
     /// Writes one snapshot atomically (temp file + rename), counting the
     /// outcome instead of unwinding: persistence failures must not take
     /// the serving path down.
-    fn write_snapshot(&self, path: &std::path::Path) {
+    fn write_snapshot(&self, path: &Path) {
         let text = self.cache.snapshot().to_text();
         let tmp = path.with_extension("tmp");
         let result = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
@@ -397,6 +389,9 @@ pub struct Server {
     /// Master sender keeping the admission queue open; dropped during
     /// shutdown so the workers drain and exit.
     job_tx: Option<SyncSender<Job>>,
+    /// Never sent on: dropping it (first thing in
+    /// [`shutdown`](Self::shutdown)) stops the snapshot thread.
+    snapshot_stop: Sender<()>,
     reactor_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     snapshot_handle: Option<JoinHandle<()>>,
@@ -448,7 +443,6 @@ impl Server {
             retry_after_ms: config.retry_after_ms,
             queue_capacity: config.queue_capacity,
             max_pipeline: config.max_pipeline,
-            max_import_bytes: config.max_import_bytes,
             debug_panic_verb: config.debug_panic_verb.clone(),
             metrics: ServerMetrics::default(),
             outstanding: AtomicUsize::new(0),
@@ -507,11 +501,14 @@ impl Server {
             std::thread::spawn(move || event_loop::run(listener, poll, &inner, &job_tx))
         };
 
+        let (snapshot_stop, stop_rx) = channel();
         let snapshot_handle = config.snapshot_path.as_ref().map(|path| {
             let inner = Arc::clone(&inner);
             let path = path.clone();
             let interval = config.snapshot_interval;
-            std::thread::spawn(move || snapshot_loop(&inner, &path, interval))
+            std::thread::spawn(move || {
+                snapshot_loop(&stop_rx, interval, || inner.write_snapshot(&path));
+            })
         });
 
         Ok(Server {
@@ -520,6 +517,7 @@ impl Server {
             snapshot_path: config.snapshot_path.clone(),
             _snapshot_lock: snapshot_lock,
             job_tx: Some(job_tx),
+            snapshot_stop,
             reactor_handle: Some(reactor_handle),
             worker_handles,
             snapshot_handle,
@@ -569,6 +567,7 @@ impl Server {
     /// request, run the queue dry, write a final snapshot, and return
     /// the final counters.
     pub fn shutdown(mut self) -> ServerStats {
+        drop(self.snapshot_stop);
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.request_shutdown();
         // The reactor observes the flag at the wakeup, drains every
@@ -629,9 +628,9 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return, // all senders gone: drained, exit
         };
-        job.admitted_at.observe(&inner.metrics.queue_wait_ns);
-        let plan_timer = Stopwatch::start();
-        let Job { instance, pending, probe_ns, conn, seq, .. } = job;
+        inner.metrics.queue_wait_ns.record_duration(job.admitted_at.elapsed());
+        let plan_started = Instant::now();
+        let Job { instance, pending, probe, conn, seq, .. } = job;
         // Resume the serve the reactor's probe began, through the same
         // cache semantics `PlanCache::serve` and `TieredPlanner::plan`
         // have. A panicking resume must not wedge the job's connection
@@ -642,57 +641,40 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>) {
             None => inner.cache.resume(&instance, pending, &inner.bnb),
         }))
         .map_err(|_| PlanError::Backend("planner worker panicked".into()));
-        inner.metrics.plan_ns.record(probe_ns + plan_timer.elapsed_nanos());
+        inner.metrics.plan_ns.record_duration(probe + plan_started.elapsed());
         inner.outstanding.fetch_sub(1, Ordering::Relaxed);
         inner.completions.lock().expect("completion lock").push(Completion { conn, seq, result });
         inner.waker.wake();
     }
 }
 
-fn snapshot_loop(inner: &Inner, path: &std::path::Path, interval: Duration) {
-    // The final snapshot is written by `shutdown()` once the workers are
-    // quiescent.
-    while wait_interval(&inner.shutdown, &inner.shutdown_requested, &inner.signal, interval) {
-        inner.write_snapshot(path);
+/// Calls `write` every `interval` until the sender of `stop` is
+/// dropped. Nothing is ever sent: a dropped sender ends the wait at
+/// once, so a thread that begins waiting only after shutdown returns
+/// without sleeping. The final snapshot is written by
+/// [`Server::shutdown`] once the workers are quiescent.
+fn snapshot_loop(stop: &Receiver<()>, interval: Duration, mut write: impl FnMut()) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+        write();
     }
-}
-
-/// Sleeps for `interval` or until shutdown is signalled; `false` once
-/// shutdown has begun. The flag is checked under the signal lock before
-/// waiting: a snapshot thread scheduled only after `shutdown()` notified
-/// would otherwise sleep through its whole interval and stall the join.
-fn wait_interval(
-    shutdown: &AtomicBool,
-    requested: &Mutex<bool>,
-    signal: &Condvar,
-    interval: Duration,
-) -> bool {
-    let guard = requested.lock().expect("signal lock");
-    if shutdown.load(Ordering::SeqCst) {
-        return false;
-    }
-    let _ = signal.wait_timeout(guard, interval).expect("signal lock");
-    !shutdown.load(Ordering::SeqCst)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{load_aware_retry_ms, wait_interval, ServerStats};
+    use super::{load_aware_retry_ms, snapshot_loop, ServerStats};
     use dsq_service::{CacheStats, TieredStats};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::{Condvar, Mutex};
     use std::time::{Duration, Instant};
 
-    /// Regression: the snapshot thread waited on the shutdown signal
-    /// without checking the flag first, so a thread that reached its
-    /// wait after `shutdown()` had notified slept through its whole
-    /// interval (an hour in the pipeline tests) and hung the join.
+    /// Regression: a snapshot thread that reached its wait only after
+    /// `shutdown()` had signalled slept through its whole interval (an
+    /// hour in the pipeline tests) and hung the join. The stop signal is
+    /// now a dropped sender, which a later wait still sees.
     #[test]
     fn a_snapshot_wait_that_starts_after_shutdown_returns_at_once() {
-        let (shutdown, requested, signal) =
-            (AtomicBool::new(true), Mutex::new(true), Condvar::new());
+        let (stop, stop_rx) = std::sync::mpsc::channel::<()>();
+        drop(stop);
         let started = Instant::now();
-        assert!(!wait_interval(&shutdown, &requested, &signal, Duration::from_secs(2)));
+        snapshot_loop(&stop_rx, Duration::from_secs(2), || panic!("wrote after shutdown"));
         assert!(started.elapsed() < Duration::from_secs(1), "slept through the interval");
     }
 

@@ -22,6 +22,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// The daemon's size cap on an `import-partition` document (8 MiB).
+const MAX_IMPORT_BYTES: usize = 8 << 20;
+
 fn tcp() -> ListenAddr {
     ListenAddr::Tcp("127.0.0.1:0".into())
 }
@@ -434,6 +437,7 @@ fn undelivered_exports_roll_back_and_are_counted() {
     assert_eq!(stats.export_rollback_errors, 0);
     assert_eq!(stats.cache.entries, warmed, "no entry may be lost to a dead handoff");
     std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(dsq_server::lock_path(&snapshot)).ok();
 }
 
 /// Regression, bug #4: the import size cap was enforced only *after*
@@ -443,30 +447,32 @@ fn undelivered_exports_roll_back_and_are_counted() {
 /// is buffered.
 #[test]
 fn import_cap_applies_before_every_line_including_the_trailer() {
-    let config = ServerConfig { max_import_bytes: 80, ..ServerConfig::default() };
-    let server = Server::start(&tcp(), &config).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
 
     // A body line that would blow the cap is refused before buffering.
+    // Every byte sent is one the daemon must read to pass the cap, so
+    // it closes with nothing left unread.
     let mut socket = raw_connect(server.listen_addr());
-    let oversized = format!("import-partition\n{}\n", "x".repeat(100));
+    let oversized = format!("import-partition\n{}\n", "x".repeat(MAX_IMPORT_BYTES));
     socket.write_all(oversized.as_bytes()).expect("write");
     let mut reader = BufReader::new(socket);
     let mut line = String::new();
     reader.read_line(&mut line).expect("read error");
-    assert_eq!(line, "error partition exceeds 80 bytes\n");
+    assert_eq!(line, "error partition exceeds 8388608 bytes\n");
     line.clear();
     assert_eq!(reader.read_line(&mut line).expect("closed"), 0, "the framing is lost: close");
 
     // A body under the cap whose trailer pushes past it is refused too
     // (the old check skipped the trailer line entirely).
     let mut socket = raw_connect(server.listen_addr());
-    let body = "y".repeat(69); // 69 + '\n' + "end-snapshot\n" = 83 > 80
+    // (cap - 13) + '\n' + "end-snapshot\n" = cap + 1
+    let body = "y".repeat(MAX_IMPORT_BYTES - 13);
     let smuggled = format!("import-partition\n{body}\nend-snapshot\n");
     socket.write_all(smuggled.as_bytes()).expect("write");
     let mut reader = BufReader::new(socket);
     line.clear();
     reader.read_line(&mut line).expect("read error");
-    assert_eq!(line, "error partition exceeds 80 bytes\n");
+    assert_eq!(line, "error partition exceeds 8388608 bytes\n");
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 2);
@@ -481,8 +487,7 @@ fn import_cap_applies_before_every_line_including_the_trailer() {
 #[test]
 fn unterminated_requests_are_refused_at_the_cap() {
     const MAX_REQUEST_BYTES: usize = 1 << 20;
-    let config = ServerConfig { max_import_bytes: 80, ..ServerConfig::default() };
-    let server = Server::start(&tcp(), &config).expect("start");
+    let server = Server::start(&tcp(), &ServerConfig::default()).expect("start");
     let refused = |head: &str, request_bytes: usize, expected: &str| {
         let mut socket = raw_connect(server.listen_addr());
         // A daemon that waits for the newline would hang the test.
@@ -505,8 +510,8 @@ fn unterminated_requests_are_refused_at_the_cap() {
     // The import cap counts from the line after the verb.
     refused(
         "import-partition\n",
-        "import-partition\n".len() + 81,
-        "error partition exceeds 80 bytes\n",
+        "import-partition\n".len() + MAX_IMPORT_BYTES + 1,
+        "error partition exceeds 8388608 bytes\n",
     );
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 3);

@@ -422,6 +422,7 @@ fn warm_restart_from_a_snapshot_file() {
     drop(client);
     second.shutdown();
     std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(dsq_server::lock_path(&snapshot)).ok();
 }
 
 /// A corrupt snapshot file is refused loudly at startup.
@@ -433,11 +434,13 @@ fn corrupt_snapshots_fail_startup() {
     let err = Server::start(&tcp(), &config).expect_err("must refuse");
     assert!(err.to_string().contains("cannot restore snapshot"), "{err}");
     std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(dsq_server::lock_path(&snapshot)).ok();
 }
 
 /// Two live servers on one snapshot path would last-writer-wins each
-/// other's atomic renames; the `.lock` PID file makes the second refuse
-/// to start, and a clean shutdown releases the path for the next one.
+/// other's atomic renames; the lock on the `.lock` file makes the second
+/// refuse to start, and a clean shutdown releases the path for the next
+/// one.
 #[test]
 fn snapshot_paths_are_locked_against_a_second_live_server() {
     let snapshot = temp_path("locked");
@@ -449,10 +452,11 @@ fn snapshot_paths_are_locked_against_a_second_live_server() {
     // Snapshot-free servers are unaffected.
     Server::start(&tcp(), &ServerConfig::default()).expect("no-snapshot server starts").shutdown();
     first.shutdown();
-    assert!(!dsq_server::lock_path(&snapshot).exists(), "shutdown releases the lock");
+    drop(dsq_server::SnapshotLock::acquire(&snapshot).expect("shutdown releases the lock"));
     // The path is reusable once the holder is gone.
     Server::start(&tcp(), &config).expect("restart after release").shutdown();
     std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(dsq_server::lock_path(&snapshot)).ok();
 }
 
 /// The background writer persists without waiting for shutdown.
@@ -475,6 +479,7 @@ fn periodic_snapshots_are_written() {
     assert!(snapshot.exists());
     server.shutdown();
     std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(dsq_server::lock_path(&snapshot)).ok();
 }
 
 /// Instance documents are framed as raw bytes: non-ASCII names (legal

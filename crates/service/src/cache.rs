@@ -1249,7 +1249,7 @@ mod tests {
         assert_eq!(full.entries.len(), 6);
 
         // Move every even fingerprint; keep the odd ones.
-        let moved = |fp: u64| fp % 2 == 0;
+        let moved = |fp: u64| fp.is_multiple_of(2);
         let exported = cache.export_partition(moved);
         let retained = cache.snapshot();
         assert!(exported.entries.iter().all(|e| moved(e.fingerprint)));

@@ -1,8 +1,8 @@
 //! Zero-dependency telemetry for the serving stack: mergeable
-//! log-linear [`Histogram`]s with a pinned relative-error bound, a
+//! log-linear [`Histogram`]s with a pinned relative-error bound, and a
 //! byte-stable text exposition (`dsq-metrics v1`, see
-//! [`render_exposition`]), a monotonic-clock [`Stopwatch`] for stage
-//! timing, and a leveled, env-filtered [`log`] shim.
+//! [`render_exposition`]). Stages are timed with [`std::time::Instant`]
+//! and recorded through [`Histogram::record_duration`].
 //!
 //! Counters are not stored here: each lives in exactly one place (its
 //! owner's stats struct) and is passed to [`render_exposition`] by value
@@ -23,10 +23,7 @@
 //!    latency measurement.
 
 pub mod hist;
-pub mod log;
 pub mod registry;
-pub mod timer;
 
 pub use hist::{Histogram, DEFAULT_GRID_BITS};
 pub use registry::{render_exposition, EXPOSITION_HEADER};
-pub use timer::Stopwatch;

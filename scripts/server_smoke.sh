@@ -106,6 +106,53 @@ grep -q "drained cleanly" "$server_log"
 [ -f "$snapshot" ] || { echo "server_smoke: no final snapshot" >&2; exit 1; }
 [ -e "$sock" ] && { echo "server_smoke: socket not unlinked" >&2; exit 1; }
 
+# ---- crash-restart smoke ---------------------------------------------
+# A daemon with a 1 s snapshot period serves one cold request, writes a
+# periodic snapshot holding its plan, and is killed with SIGKILL: no
+# drain, no cleanup. The kernel drops its snapshot lock with the
+# process, so a new daemon on the same snapshot path starts and restores
+# the plan. (A fresh socket path: the dead daemon's socket file stays.)
+crash_sock="$workdir/crash.sock"
+crash_snap="$workdir/crash.dsqc"
+"$bin" serve --unix "$crash_sock" --workers 1 --snapshot "$crash_snap" \
+    --snapshot-interval-secs 1 < /dev/null > "$workdir/crash.log" &
+crash_pid=$!
+daemon_pids+=("$crash_pid")
+for _ in $(seq 1 300); do
+    [ -S "$crash_sock" ] && break
+    sleep 0.1
+done
+[ -S "$crash_sock" ] || { echo "server_smoke: crash socket never appeared" >&2; exit 1; }
+"$bin" client --unix "$crash_sock" optimize "$workdir/q.dsq" | grep -q " cold "
+snapshots_written() {
+    "$bin" client --unix "$crash_sock" metrics | sed -n 's/^counter server.snapshots.written //p'
+}
+written_before="$(snapshots_written)"
+for _ in $(seq 1 300); do
+    [ "$(snapshots_written)" -gt "$written_before" ] && break
+    sleep 0.1
+done
+[ "$(snapshots_written)" -gt "$written_before" ] || \
+    { echo "server_smoke: no periodic snapshot within 30 s" >&2; exit 1; }
+# (The group's stderr swallows the shell's "Killed" job notice.)
+{ kill -9 "$crash_pid" && wait "$crash_pid"; } 2>/dev/null || true
+restart_sock="$workdir/restart.sock"
+"$bin" serve --unix "$restart_sock" --workers 1 --snapshot "$crash_snap" \
+    < /dev/null > "$workdir/restart.log" 2>&1 &
+restart_pid=$!
+daemon_pids+=("$restart_pid")
+for _ in $(seq 1 300); do
+    [ -S "$restart_sock" ] && break
+    sleep 0.1
+done
+[ -S "$restart_sock" ] || \
+    { echo "server_smoke: restart after SIGKILL never listened" >&2; cat "$workdir/restart.log" >&2; exit 1; }
+"$bin" client --unix "$restart_sock" optimize "$workdir/q.dsq" | grep -q " hit " || \
+    { echo "server_smoke: restart after SIGKILL answered cold" >&2; exit 1; }
+"$bin" client --unix "$restart_sock" shutdown | grep -qx "server draining"
+wait "$restart_pid"
+grep -q "restored 1 cached plans from snapshot" "$workdir/restart.log"
+
 # ---- 2-backend fleet smoke -------------------------------------------
 # Two daemons (1 worker each: single-core container), requests sharded
 # across them by fingerprint via `client --fleet`, repeats hitting the
@@ -310,4 +357,4 @@ if grep -q " tier heur" "$workdir/tiered-warm.out"; then
     exit 1
 fi
 
-echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request pipelined burst, stdin stream, metrics counters, tiered refinement)" >&2
+echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, crash-restart after SIGKILL, fleet sharding + failover, warm rebalance, chaos drain, 2k-request pipelined burst, stdin stream, metrics counters, tiered refinement)" >&2
