@@ -103,19 +103,31 @@ mod tests {
         std::fs::remove_file(lock_path(&snapshot)).ok();
     }
 
-    /// A lock file left behind with no holder (a crashed server's pid,
-    /// or anything else) is no lock at all: it is acquired and rewritten.
+    /// A lock file left behind by a crashed server (a dead pid, no
+    /// holder) is no lock at all: it is acquired and rewritten.
     #[test]
     fn stale_locks_are_stolen() {
-        for (tag, leftover) in [("dead", "999999999\n"), ("garbage", "not a pid, and longer\n")] {
-            let snapshot = temp_snapshot(tag);
-            let lock_file = lock_path(&snapshot);
-            std::fs::write(&lock_file, leftover).expect("plant leftover lock file");
-            let lock = SnapshotLock::acquire(&snapshot).expect("a leftover lock file is acquired");
-            let content = std::fs::read_to_string(&lock_file).expect("lock readable");
-            assert_eq!(content, format!("{}\n", std::process::id()), "lock now ours");
-            drop(lock);
-            std::fs::remove_file(&lock_file).ok();
-        }
+        let snapshot = temp_snapshot("dead");
+        let lock_file = lock_path(&snapshot);
+        std::fs::write(&lock_file, "999999999\n").expect("plant leftover lock file");
+        let lock = SnapshotLock::acquire(&snapshot).expect("a leftover lock file is acquired");
+        let content = std::fs::read_to_string(&lock_file).expect("lock readable");
+        assert_eq!(content, format!("{}\n", std::process::id()), "lock now ours");
+        drop(lock);
+        std::fs::remove_file(&lock_file).ok();
+    }
+
+    /// A lock file whose content is not a pid, and longer than one, is
+    /// acquired and rewritten whole: no garbage survives past the pid.
+    #[test]
+    fn unreadable_locks_count_as_stale() {
+        let snapshot = temp_snapshot("garbage");
+        let lock_file = lock_path(&snapshot);
+        std::fs::write(&lock_file, "not a pid, and longer\n").expect("plant garbage lock");
+        let lock = SnapshotLock::acquire(&snapshot).expect("garbage lock is stolen");
+        let content = std::fs::read_to_string(&lock_file).expect("lock readable");
+        assert_eq!(content, format!("{}\n", std::process::id()), "lock now ours");
+        drop(lock);
+        std::fs::remove_file(&lock_file).ok();
     }
 }
